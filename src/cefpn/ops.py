@@ -1,6 +1,9 @@
 """Convolution, pooling, interpolation, and fully connected layers.
 
 Output extents follow floor((extent + 2*padding - kernel) / stride) + 1.
+Convolution is im2col plus one weight-major GEMM per direction: forward
+``W @ cols``, weight gradient ``g @ cols^T`` summed over the batch, input
+gradient ``W^T @ g`` folded back by col2im (k^2 strided adds).
 All layers carry bias by default with a per-layer disable flag. Backward
 passes route max-pool gradients to the first maximal element in row-major
 window scan order on exact ties.
@@ -119,7 +122,12 @@ def _gather_windows(padded: np.ndarray, kernel: int, stride: int,
 
 
 def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
-    """Zero-padded 2-d convolution of an (n, c, h, w) tensor."""
+    """Zero-padded 2-d convolution of an (n, c, h, w) tensor.
+
+    Forward is one weight-major GEMM on the im2col layout:
+    ``W.reshape(o, c*k*k) @ cols`` with cols of shape (n, c*k*k, oh*ow). A 1x1
+    kernel at stride 1 without padding uses the input itself as cols.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: input must be 4-d, got shape {x.shape}")
     n, c, h, w = x.shape
@@ -135,29 +143,40 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
 
     weight, bias = spec.weight, spec.bias
     parents = (x, weight) + ((bias,) if spec.bias_enabled else ())
+    o, ckk = spec.out_channels, c * k * k
+    pointwise = k == 1 and s == 1 and p == 0
 
     def forward(xd: np.ndarray, wd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        padded = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p)))
-        cols = _gather_windows(padded, k, s, oh, ow)
-        out = np.tensordot(cols, wd, axes=([1, 2, 3], [1, 2, 3]))  # (n, oh, ow, out)
-        out = np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+        if pointwise:
+            cols = xd.reshape(n, c, h * w)
+        else:
+            padded = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
+            cols = _gather_windows(padded, k, s, oh, ow).reshape(n, ckk, oh * ow)
+        out = wd.reshape(o, ckk) @ cols  # (n, o, oh*ow)
         if spec.bias_enabled:
-            out = out + bias.data.reshape(1, -1, 1, 1)
-        return out, cols
+            out += bias.data.reshape(1, o, 1)
+        return out.reshape(n, o, oh, ow), cols
 
     out_data, cols = forward(x.data, weight.data)
 
     def grad_fn(g: np.ndarray):
-        gw = np.tensordot(g, cols, axes=([0, 2, 3], [0, 4, 5]))  # (out, in, k, k)
-        gpad = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=g.dtype)
-        for ky in range(k):
-            for kx in range(k):
-                contrib = np.tensordot(g, weight.data[:, :, ky, kx], axes=([1], [0]))
-                gpad[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s] += contrib.transpose(0, 3, 1, 2)
-        gx = gpad[:, :, p:p + h, p:p + w] if p else gpad
-        grads = [np.ascontiguousarray(gx), gw]
+        g = g.reshape(n, o, oh * ow)
+        gw = g[0] @ cols[0].T
+        for i in range(1, n):
+            gw += g[i] @ cols[i].T
+        gcols = weight.data.reshape(o, ckk).T @ g  # (n, c*k*k, oh*ow)
+        if pointwise:
+            gx = gcols.reshape(n, c, h, w)
+        else:  # col2im: scatter-add each kernel tap back onto the padded grid
+            gcols = gcols.reshape(n, c, k, k, oh, ow)
+            gpad = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=g.dtype)
+            for ky in range(k):
+                for kx in range(k):
+                    gpad[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s] += gcols[:, :, ky, kx]
+            gx = np.ascontiguousarray(gpad[:, :, p:p + h, p:p + w]) if p else gpad
+        grads = [gx, gw.reshape(weight.shape)]
         if spec.bias_enabled:
-            grads.append(g.sum(axis=(0, 2, 3)))
+            grads.append(g.sum(axis=(0, 2)))
         return tuple(grads)
 
     return _record("conv2d", out_data, parents, grad_fn,

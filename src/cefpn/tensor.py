@@ -140,7 +140,12 @@ def backward(loss: Tensor, tape: GradTape | None = None) -> None:
     """Fill ``.grad`` on every requires_grad tensor reachable from ``loss``.
 
     Gradients are overwritten, not accumulated across calls; within one call
-    fan-out contributions sum as usual.
+    fan-out contributions sum as usual. The first contribution to a tensor is
+    stored as returned, without a copy; later ones are summed out of place.
+    Every stored gradient is read-only, because one buffer may be shared by
+    several tensors (both parents of ``add`` receive the same array). Each
+    ``grad_fn`` must return, per parent, ``None`` or an array of exactly that
+    parent's shape and dtype; anything else raises ``ContractError``.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
@@ -150,7 +155,7 @@ def backward(loss: Tensor, tape: GradTape | None = None) -> None:
         raise ContractError("tape was recorded for a different loss node")
     for node in tape.nodes:
         node.grad = None
-    loss.grad = np.ones_like(loss.data)
+    loss.grad = _freeze(np.ones_like(loss.data))
     for node in reversed(tape.nodes):
         if node._grad_fn is None or node.grad is None:
             continue
@@ -160,9 +165,14 @@ def backward(loss: Tensor, tape: GradTape | None = None) -> None:
         for parent, g in zip(node._parents, parent_grads):
             if g is None or not parent.requires_grad:
                 continue
-            if parent.grad is None:
-                parent.grad = np.zeros_like(parent.data)
-            parent.grad = parent.grad + g
+            if g.shape != parent.shape or g.dtype != parent.dtype:
+                raise ContractError(
+                    f"{node._op}: backward returned a {g.dtype.name} gradient of shape "
+                    f"{g.shape} for a {parent.dtype.name} input of shape {parent.shape}")
+            if parent.grad is not None:
+                g = parent.grad + g
+            g.flags.writeable = False
+            parent.grad = g
 
 
 # ---------------------------------------------------------------------------

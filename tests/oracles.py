@@ -34,6 +34,33 @@ def conv2d_loops(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None,
     return out
 
 
+def conv2d_grad_loops(x: np.ndarray, weight: np.ndarray, g: np.ndarray,
+                      stride: int, padding: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gradients (input, weight, bias) of sum(g * conv(x)): each output
+    position sends its upstream value back over the window it read."""
+    n, cin, h, w = x.shape
+    cout, _, k, _ = weight.shape
+    oh, ow = g.shape[2], g.shape[3]
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(weight)
+    gb = np.zeros(cout, dtype=x.dtype)
+    for ni in range(n):
+        for oc in range(cout):
+            for oy in range(oh):
+                for ox in range(ow):
+                    up = g[ni, oc, oy, ox]
+                    gb[oc] += up
+                    for ic in range(cin):
+                        for ky in range(k):
+                            for kx in range(k):
+                                iy = oy * stride + ky - padding
+                                ix = ox * stride + kx - padding
+                                if 0 <= iy < h and 0 <= ix < w:
+                                    gx[ni, ic, iy, ix] += up * weight[oc, ic, ky, kx]
+                                    gw[oc, ic, ky, kx] += up * x[ni, ic, iy, ix]
+    return gx, gw, gb
+
+
 def max_pool_loops(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     """Window maximum; out-of-bounds positions count as -inf."""
     n, c, h, w = x.shape

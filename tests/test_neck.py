@@ -409,3 +409,52 @@ class TestCefpnForward:
         tape = GradTape(loss)
         before = loss.data.copy()
         assert np.array_equal(tape.replay(), before)
+
+    @pytest.mark.parametrize("scheme", ["a", "b", "c"])
+    def test_backward_never_writes_an_incoming_gradient(self, scheme):
+        from cefpn import GradTape, backward
+        config, params, pyramid = desk_setup(seed=4, ssf_scheme=scheme, include_f5_p5=True)
+        backward(level_sum_loss(cefpn_forward(pyramid, params, config)))
+        plain = {name: t.grad.copy() for name, t in params.named_parameters()}
+
+        loss = level_sum_loss(cefpn_forward(pyramid, params, config))
+        tape = GradTape(loss)
+        arrived_writeable = []
+
+        def read_only(grad_fn):
+            def call(g):
+                arrived_writeable.append(g.flags.writeable)
+                frozen = g.copy()
+                frozen.flags.writeable = False
+                return grad_fn(frozen)
+            return call
+
+        for node in tape.nodes:
+            if node._grad_fn is not None:
+                node._grad_fn = read_only(node._grad_fn)
+        backward(loss, tape)
+        assert arrived_writeable and not any(arrived_writeable)
+        for name, tensor in params.named_parameters():
+            assert not tensor.grad.flags.writeable, name
+            assert np.array_equal(tensor.grad, plain[name]), name
+
+    @pytest.mark.parametrize("scheme", ["a", "b", "c"])
+    def test_float32_matches_float64_within_level_tolerance(self, scheme):
+        # the benchmark's rule: 1e-5 of each level's largest float64 magnitude
+        config = desk_config(ssf_scheme=scheme)
+        outs = {}
+        for dtype in (np.float64, np.float32):
+            params = init_neck_params(config, 5, dtype=dtype)
+            pyramid = synthetic_backbone(16, 64, 64, batch=2, seed=6, dtype=dtype)
+            outs[dtype] = cefpn_forward(pyramid, params, config)
+        for i in (2, 3, 4, 5):
+            ref, got = outs[np.float64].level(i).data, outs[np.float32].level(i).data
+            assert got.dtype == np.float32
+            assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref)), f"R{i}"
+
+
+def level_sum_loss(out):
+    loss = sum_all(out.r2)
+    for t in (out.r3, out.r4, out.r5):
+        loss = add(loss, sum_all(t))
+    return loss

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cefpn import ConfigError, ConvSpec, LinearSpec, ShapeError, Tensor, conv2d, \
-    global_avg_pool, global_max_pool, interpolate_nearest, linear, max_pool2d
-from oracles import conv2d_loops, global_avg_loops, global_max_loops, \
+from cefpn import ConfigError, ConvSpec, LinearSpec, ShapeError, Tensor, backward, conv2d, \
+    global_avg_pool, global_max_pool, interpolate_nearest, linear, max_pool2d, mul, sum_all
+from oracles import conv2d_grad_loops, conv2d_loops, global_avg_loops, global_max_loops, \
     interp_nearest_loops, linear_loops, max_pool_loops
 
 
@@ -81,6 +81,25 @@ class TestConv2d:
         expect = conv2d_loops(x, weight, bias, stride, pad)
         got = conv2d(Tensor(x), conv_spec(weight, bias, stride=stride))
         np.testing.assert_allclose(got.data, expect, atol=1e-12)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.integers(1, 3),
+           st.integers(1, 3), st.sampled_from([1, 3]), st.integers(1, 2),
+           st.booleans(), st.integers(3, 6), st.integers(3, 6))
+    def test_backward_matches_loop_oracle(self, seed, n, cin, cout, k, stride, padded, h, w):
+        rng = np.random.default_rng(seed)
+        pad = (k - 1) // 2 if padded else 0
+        x = Tensor(rng.uniform(-1, 1, (n, cin, h, w)), requires_grad=True)
+        weight = Tensor(rng.uniform(-1, 1, (cout, cin, k, k)), requires_grad=True)
+        bias = Tensor(rng.uniform(-1, 1, (cout,)), requires_grad=True)
+        spec = ConvSpec(cin, cout, k, stride, pad, weight, bias, True)
+        out = conv2d(x, spec)
+        upstream = rng.uniform(-1, 1, out.shape)
+        backward(sum_all(mul(out, Tensor(upstream))))
+        gx, gw, gb = conv2d_grad_loops(x.data, weight.data, upstream, stride, pad)
+        np.testing.assert_allclose(x.grad, gx, atol=1e-12)
+        np.testing.assert_allclose(weight.grad, gw, atol=1e-12)
+        np.testing.assert_allclose(bias.grad, gb, atol=1e-12)
 
 
 class TestMaxPool:

@@ -171,6 +171,25 @@ class TestBackwardBasics:
         backward(sum_all(x))
         assert np.array_equal(x.grad, np.ones_like(x.data))
 
+    def test_stored_gradients_are_read_only(self):
+        a = rand((1, 1, 2, 2), seed=14, requires_grad=True)
+        b = rand((1, 1, 2, 2), seed=15, requires_grad=True)
+        backward(sum_all(add(a, b)))
+        for t in (a, b):
+            assert np.array_equal(t.grad, np.ones_like(t.data))
+            with pytest.raises(ValueError):
+                t.grad[0, 0, 0, 0] = 5.0
+
+    @pytest.mark.parametrize("bad", [np.ones((1, 2, 3, 4)), np.ones((1, 2, 3, 3), np.float32)])
+    def test_gradient_of_wrong_shape_or_dtype_names_the_op(self, monkeypatch, bad):
+        from cefpn import ContractError
+        x = rand((1, 2, 3, 3), seed=16, requires_grad=True)
+        hidden = relu(x)
+        loss = sum_all(hidden)
+        monkeypatch.setattr(hidden, "_grad_fn", lambda g: (bad,))
+        with pytest.raises(ContractError, match="relu"):
+            backward(loss)
+
     def test_explicit_tape_accepted(self):
         x = rand((1, 1, 2, 2), seed=12, requires_grad=True)
         loss = sum_all(sigmoid(x))

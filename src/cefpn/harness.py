@@ -9,9 +9,9 @@ time- or path-dependent, so identical configs give byte-identical output.
 from __future__ import annotations
 
 import json
-
 from dataclasses import asdict, dataclass, fields
 
+import numpy as np
 
 from .backbone import PATTERNS, synthetic_backbone
 from .cost import MAC_CONVENTIONS, cefpn_report, compare_to_baseline, fpn_baseline_report, \
@@ -54,6 +54,10 @@ class RunConfig:
             raise ConfigError(f"geometry {self.height}x{self.width} must be divisible by 32")
         if self.height < 32 or self.width < 32:
             raise ConfigError(f"geometry {self.height}x{self.width} is smaller than one stride-32 cell")
+        if self.height % 64 != 0 or self.width % 64 != 0:
+            raise ConfigError(
+                f"geometry {self.height}x{self.width} must be divisible by 64: SCE needs an "
+                f"even C5 extent, got {self.height // 32}x{self.width // 32} at stride 32")
         if self.batch < 1:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
         if self.suite not in SUITES:
@@ -94,17 +98,26 @@ class SuiteReport:
     text: str
 
     def to_json(self) -> str:
-        return json.dumps(self.document, sort_keys=True, indent=2) + "\n"
+        return json.dumps(self.document, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _level_stats(t) -> dict:
+    """Shape, non-finite element count, and min/max/mean (null when any
+    element is non-finite, since JSON has no NaN or infinity)."""
     d = t.data
-    return {
-        "shape": list(d.shape),
-        "min": float(d.min()),
-        "max": float(d.max()),
-        "mean": float(d.mean()),
-    }
+    nonfinite = d.size - int(np.count_nonzero(np.isfinite(d)))
+    stats = {"shape": list(d.shape), "nonfinite": nonfinite}
+    for key, reduce in (("min", np.min), ("max", np.max), ("mean", np.mean)):
+        stats[key] = None if nonfinite else float(reduce(d))
+    return stats
+
+
+def _finite_or_none(v: float) -> float | None:
+    return v if np.isfinite(v) else None
+
+
+def _fmt_stat(v) -> str:
+    return f"{v:>14.6g}" if v is not None else f"{'-':>14}"
 
 
 def run_forward(config: RunConfig) -> SuiteReport:
@@ -117,20 +130,24 @@ def run_forward(config: RunConfig) -> SuiteReport:
                                  pattern=config.backbone_pattern, dtype=dtype)
     outputs = cefpn_forward(pyramid, params, neck)
     levels = {f"R{i}": _level_stats(t) for i, t in sorted(outputs.levels().items())}
+    passed = all(st["nonfinite"] == 0 for st in levels.values())
     document = {
         "suite": "forward",
         "seed": config.seed,
         "config": config.to_dict(),
         "strides": [4, 8, 16, 32],
         "levels": levels,
+        "passed": passed,
     }
     lines = [f"forward pass  (seed {config.seed}, width {config.base_channel}, "
              f"scheme {config.ssf_scheme}, {config.height}x{config.width})",
-             f"{'level':<6} {'shape':<22} {'min':>14} {'max':>14} {'mean':>14}"]
+             f"{'level':<6} {'shape':<22} {'min':>14} {'max':>14} {'mean':>14} {'nonfinite':>10}"]
     for name, st in levels.items():
         shape = "x".join(str(v) for v in st["shape"])
-        lines.append(f"{name:<6} {shape:<22} {st['min']:>14.6g} {st['max']:>14.6g} {st['mean']:>14.6g}")
-    return SuiteReport("forward", True, document, "\n".join(lines) + "\n")
+        lines.append(f"{name:<6} {shape:<22} {_fmt_stat(st['min'])} {_fmt_stat(st['max'])} "
+                     f"{_fmt_stat(st['mean'])} {st['nonfinite']:>10}")
+    lines.append("result: " + ("PASS" if passed else "FAIL"))
+    return SuiteReport("forward", passed, document, "\n".join(lines) + "\n")
 
 
 def run_gradcheck(config: RunConfig, corrupt_op: str | None = None) -> SuiteReport:
@@ -141,16 +158,16 @@ def run_gradcheck(config: RunConfig, corrupt_op: str | None = None) -> SuiteRepo
     per_op["linear_exact"] = linear_only_error(seed=config.seed)
     e2e = end_to_end_gradcheck(config.neck_config(), config.height, config.width,
                                config.batch, seed=config.seed)
-    worst_op = max(per_op.values())
-    passed = worst_op < DEFAULT_THRESHOLD and e2e.max_rel_error < DEFAULT_THRESHOLD
+    # NaN compares false, so a NaN error fails here instead of hiding from max()
+    passed = all(e < DEFAULT_THRESHOLD for e in (*per_op.values(), e2e.max_rel_error))
     document = {
         "suite": "gradcheck",
         "seed": config.seed,
         "config": config.to_dict(),
         "threshold": DEFAULT_THRESHOLD,
-        "ops": {k: per_op[k] for k in sorted(per_op)},
+        "ops": {k: _finite_or_none(per_op[k]) for k in sorted(per_op)},
         "end_to_end": {
-            "max_rel_error": e2e.max_rel_error,
+            "max_rel_error": _finite_or_none(e2e.max_rel_error),
             "parameters_checked": e2e.parameters_checked,
             "parameter_total": e2e.parameter_total,
         },

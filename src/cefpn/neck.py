@@ -100,16 +100,12 @@ def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
 class NeckConfig:
     """Architecture hyperparameters of the neck.
 
-    ``base_channel`` is the shared pyramid width c (256 at reference scale);
-    ``upscale`` is the sub-pixel factor used by the skip fusion and is fixed
-    at 2 to double the spatial scale.
+    ``base_channel`` is the shared pyramid width c (256 at reference scale).
     """
 
     base_channel: int = 256
     ssf_scheme: str = "c"
     attention_reduction: int = 32
-    upscale: int = 2
-    interpolation: str = "nearest"
     include_f5_p5: bool = False
 
     def __post_init__(self):
@@ -121,10 +117,6 @@ class NeckConfig:
         if self.attention_reduction < 1 or c % self.attention_reduction != 0:
             raise ConfigError(
                 f"attention_reduction {self.attention_reduction} must divide base_channel {c}")
-        if self.upscale != 2:
-            raise ConfigError(f"upscale is fixed at 2, got {self.upscale}")
-        if self.interpolation != "nearest":
-            raise ConfigError(f"only nearest interpolation is supported, got {self.interpolation!r}")
 
     @property
     def levels(self) -> tuple[int, ...]:

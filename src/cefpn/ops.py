@@ -3,7 +3,8 @@
 Output extents follow floor((extent + 2*padding - kernel) / stride) + 1.
 Convolution is im2col plus one weight-major GEMM per direction: forward
 ``W @ cols``, weight gradient ``g @ cols^T`` summed over the batch, input
-gradient ``W^T @ g`` folded back by col2im (k^2 strided adds).
+gradient ``W^T @ g`` folded back by col2im (k^2 strided adds), computed only
+when the input requires a gradient.
 All layers carry bias by default with a per-layer disable flag. Backward
 passes route max-pool gradients to the first maximal element in row-major
 window scan order on exact ties.
@@ -164,16 +165,18 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
         gw = g[0] @ cols[0].T
         for i in range(1, n):
             gw += g[i] @ cols[i].T
-        gcols = weight.data.reshape(o, ckk).T @ g  # (n, c*k*k, oh*ow)
-        if pointwise:
-            gx = gcols.reshape(n, c, h, w)
-        else:  # col2im: scatter-add each kernel tap back onto the padded grid
-            gcols = gcols.reshape(n, c, k, k, oh, ow)
-            gpad = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=g.dtype)
-            for ky in range(k):
-                for kx in range(k):
-                    gpad[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s] += gcols[:, :, ky, kx]
-            gx = np.ascontiguousarray(gpad[:, :, p:p + h, p:p + w]) if p else gpad
+        gx = None
+        if x.requires_grad:  # read at backward time, like backward's own filter
+            gcols = weight.data.reshape(o, ckk).T @ g  # (n, c*k*k, oh*ow)
+            if pointwise:
+                gx = gcols.reshape(n, c, h, w)
+            else:  # col2im: scatter-add each kernel tap back onto the padded grid
+                gcols = gcols.reshape(n, c, k, k, oh, ow)
+                gpad = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=g.dtype)
+                for ky in range(k):
+                    for kx in range(k):
+                        gpad[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s] += gcols[:, :, ky, kx]
+                gx = np.ascontiguousarray(gpad[:, :, p:p + h, p:p + w]) if p else gpad
         grads = [gx, gw.reshape(weight.shape)]
         if spec.bias_enabled:
             grads.append(g.sum(axis=(0, 2)))
@@ -269,8 +272,13 @@ def interpolate_nearest(x: Tensor, scale: int) -> Tensor:
     def kernel():
         return np.repeat(np.repeat(x.data, scale, axis=2), scale, axis=3)
 
-    def grad_fn(g):
-        return (g.reshape(n, c, h, scale, w, scale).sum(axis=(3, 5)),)
+    def grad_fn(g):  # each input pixel sums its scale x scale block: s^2 strided adds
+        gx = g[:, :, ::scale, ::scale].copy()
+        for dy in range(scale):
+            for dx in range(scale):
+                if dy or dx:
+                    gx += g[:, :, dy::scale, dx::scale]
+        return (gx,)
 
     return _record("interpolate_nearest", kernel(), (x,), grad_fn, kernel)
 

@@ -12,7 +12,7 @@ push gradients from a scalar loss to every leaf marked ``requires_grad``.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -318,14 +318,3 @@ def squeeze_spatial(x: Tensor) -> Tensor:
     return _record("squeeze_spatial", kernel(), (x,),
                    lambda g: (g.reshape(n, c, 1, 1),), kernel)
 
-
-def leaves_of(tensors: Iterable[Tensor]) -> list[Tensor]:
-    """All distinct leaf tensors under the given roots, in first-seen order."""
-    out: list[Tensor] = []
-    seen: set[int] = set()
-    for t in tensors:
-        for node in _topo_order(t):
-            if node._kernel is None and id(node) not in seen:
-                seen.add(id(node))
-                out.append(node)
-    return out

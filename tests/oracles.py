@@ -123,6 +123,19 @@ def interp_nearest_loops(x: np.ndarray, scale: int) -> np.ndarray:
     return out
 
 
+def interp_nearest_grad_loops(g: np.ndarray, scale: int) -> np.ndarray:
+    """Gradient of sum(g * interp(x)): input(y, x) collects every output
+    position it was copied to."""
+    n, c, oh, ow = g.shape
+    out = np.zeros((n, c, oh // scale, ow // scale), dtype=g.dtype)
+    for ni in range(n):
+        for ci in range(c):
+            for y in range(oh):
+                for xx in range(ow):
+                    out[ni, ci, y // scale, xx // scale] += g[ni, ci, y, xx]
+    return out
+
+
 def linear_loops(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None) -> np.ndarray:
     """Row-by-row dot products."""
     squeeze = x.ndim == 1

@@ -1,5 +1,6 @@
 """Harness suites and the command-line interface."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,7 +11,29 @@ from cefpn import ConfigError, ConvSpec, NeckParams, RunConfig, Tensor, cefpn_fo
 from cefpn.backbone import ramp_level
 from cefpn.cli import main
 from cefpn.harness import _level_stats
+import cefpn.harness
 import cefpn.neck
+
+
+def strict_json(text):
+    """json.loads that refuses the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def poison_level(monkeypatch, level, values):
+    """Make the harness see pyramid level ``level`` with its first elements
+    replaced by ``values``."""
+    real_forward = cefpn.harness.cefpn_forward
+
+    def poisoned(pyramid, params, config):
+        out = real_forward(pyramid, params, config)
+        data = getattr(out, level).data.copy()
+        data.flat[:len(values)] = values
+        return dataclasses.replace(out, **{level: Tensor(data)})
+
+    monkeypatch.setattr(cefpn.harness, "cefpn_forward", poisoned)
 
 
 class TestRunConfig:
@@ -21,6 +44,12 @@ class TestRunConfig:
     def test_geometry_must_divide_32(self):
         with pytest.raises(ConfigError, match="divisible by 32"):
             RunConfig(height=60)
+
+    def test_geometry_must_divide_64_for_even_c5(self):
+        with pytest.raises(ConfigError, match="divisible by 64.*even C5"):
+            RunConfig(height=96)
+        with pytest.raises(ConfigError, match="divisible by 64"):
+            RunConfig(width=160)
 
     def test_unknown_fields_rejected(self):
         with pytest.raises(ConfigError, match="unknown"):
@@ -53,6 +82,23 @@ class TestRunForward:
         cfg = RunConfig(seed=4, ssf_scheme="b")
         report = run_forward(cfg)
         assert report.document["config"] == cfg.to_dict()
+
+    def test_finite_levels_pass_with_zero_nonfinite(self):
+        report = run_forward(RunConfig(seed=3))
+        assert report.passed and report.document["passed"] is True
+        assert all(st["nonfinite"] == 0 for st in report.document["levels"].values())
+        assert report.text.endswith("result: PASS\n")
+
+    def test_nonfinite_level_is_valid_json_and_fails(self, monkeypatch):
+        poison_level(monkeypatch, "r3", [np.nan, np.inf])
+        report = run_forward(RunConfig(seed=3))
+        doc = strict_json(report.to_json())
+        assert not report.passed and doc["passed"] is False
+        r3 = doc["levels"]["R3"]
+        assert r3["nonfinite"] == 2
+        assert r3["min"] is None and r3["max"] is None and r3["mean"] is None
+        assert doc["levels"]["R2"]["nonfinite"] == 0 and doc["levels"]["R2"]["min"] is not None
+        assert report.text.endswith("result: FAIL\n")
 
     def test_ramp_fixture_statistics_oracle(self, monkeypatch):
         """With identity laterals, identity post-merge taps, a zeroed-out
@@ -115,6 +161,21 @@ class TestRunGradcheck:
     def test_refuses_single_precision(self):
         with pytest.raises(ConfigError, match="float64"):
             run_gradcheck(RunConfig(precision="float32"))
+
+    def test_nan_error_fails_and_stays_valid_json(self, monkeypatch):
+        real_suite = cefpn.harness.op_gradient_suite
+
+        def nan_for_one_op(seed, corrupt_op=None):
+            errors = real_suite(seed=seed, corrupt_op=corrupt_op)
+            errors[list(errors)[-1]] = float("nan")  # max() skips a NaN unless it comes first
+            return errors
+
+        monkeypatch.setattr(cefpn.harness, "op_gradient_suite", nan_for_one_op)
+        report = run_gradcheck(RunConfig(seed=0))
+        assert not report.passed
+        doc = strict_json(report.to_json())
+        assert doc["passed"] is False
+        assert None in doc["ops"].values()
 
     def test_corrupted_gradient_fails(self):
         report = run_gradcheck(RunConfig(seed=0), corrupt_op="conv2d_3x3")
@@ -189,6 +250,23 @@ class TestCli:
         assert captured.out == ""
         lines = [l for l in captured.err.splitlines() if l]
         assert len(lines) == 1 and "divisible by 32" in lines[0]
+
+    @pytest.mark.parametrize("suite", ["forward", "gradcheck", "cost", "all"])
+    def test_geometry_off_64_rejected_by_every_suite(self, suite, capsys):
+        code = main(["--suite", suite, "--height", "96", "--width", "96"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = [l for l in captured.err.splitlines() if l]
+        assert len(lines) == 1 and "divisible by 64" in lines[0]
+
+    def test_nonfinite_forward_exits_one(self, monkeypatch, capsys):
+        poison_level(monkeypatch, "r2", [np.nan])
+        code = main(["--suite", "forward"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert json.loads(captured.out)["levels"]["R2"]["min"] is None
+        assert "forward" in captured.err
 
     def test_single_precision_gradcheck_refused(self, capsys):
         code = main(["--suite", "gradcheck", "--precision", "float32"])

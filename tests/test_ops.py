@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cefpn import ConfigError, ConvSpec, LinearSpec, ShapeError, Tensor, backward, conv2d, \
     global_avg_pool, global_max_pool, interpolate_nearest, linear, max_pool2d, mul, sum_all
 from oracles import conv2d_grad_loops, conv2d_loops, global_avg_loops, global_max_loops, \
-    interp_nearest_loops, linear_loops, max_pool_loops
+    interp_nearest_grad_loops, interp_nearest_loops, linear_loops, max_pool_loops
 
 
 def conv_spec(weight, bias=None, stride=1, padding=None):
@@ -98,6 +98,37 @@ class TestConv2d:
         backward(sum_all(mul(out, Tensor(upstream))))
         gx, gw, gb = conv2d_grad_loops(x.data, weight.data, upstream, stride, pad)
         np.testing.assert_allclose(x.grad, gx, atol=1e-12)
+        np.testing.assert_allclose(weight.grad, gw, atol=1e-12)
+        np.testing.assert_allclose(bias.grad, gb, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.integers(1, 3),
+           st.integers(1, 3), st.sampled_from([1, 3]), st.integers(1, 2),
+           st.booleans(), st.integers(3, 6), st.integers(3, 6))
+    def test_backward_skips_input_gradient_nobody_reads(self, seed, n, cin, cout, k, stride,
+                                                        padded, h, w):
+        rng = np.random.default_rng(seed)
+        pad = (k - 1) // 2 if padded else 0
+        xd = rng.uniform(-1, 1, (n, cin, h, w))
+        wd = rng.uniform(-1, 1, (cout, cin, k, k))
+        bd = rng.uniform(-1, 1, (cout,))
+        oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
+        upstream = rng.uniform(-1, 1, (n, cout, oh, ow))
+
+        def run(x_requires_grad):
+            x = Tensor(xd, requires_grad=x_requires_grad)
+            weight, bias = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
+            out = conv2d(x, ConvSpec(cin, cout, k, stride, pad, weight, bias, True))
+            backward(sum_all(mul(out, Tensor(upstream))))
+            return x, weight, bias, out
+
+        x, weight, bias, out = run(False)
+        _, weight_ref, bias_ref, _ = run(True)
+        assert x.grad is None
+        assert out._grad_fn(upstream)[0] is None  # the input gradient is never formed
+        assert np.array_equal(weight.grad, weight_ref.grad)
+        assert np.array_equal(bias.grad, bias_ref.grad)
+        _, gw, gb = conv2d_grad_loops(xd, wd, upstream, stride, pad)
         np.testing.assert_allclose(weight.grad, gw, atol=1e-12)
         np.testing.assert_allclose(bias.grad, gb, atol=1e-12)
 
@@ -200,6 +231,17 @@ class TestInterpolate:
         x = np.random.default_rng(seed).uniform(-1, 1, (1, c, h, w))
         assert np.array_equal(interpolate_nearest(Tensor(x), s).data,
                               interp_nearest_loops(x, s))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.integers(1, 3),
+           st.integers(1, 4), st.integers(1, 4), st.sampled_from([1, 2, 3]))
+    def test_backward_matches_block_sum_oracle(self, seed, n, c, h, w, s):
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.uniform(-1, 1, (n, c, h, w)), requires_grad=True)
+        out = interpolate_nearest(x, s)
+        upstream = rng.uniform(-1, 1, out.shape)
+        backward(sum_all(mul(out, Tensor(upstream))))
+        np.testing.assert_allclose(x.grad, interp_nearest_grad_loops(upstream, s), atol=1e-12)
 
 
 class TestLinear:

@@ -1,8 +1,8 @@
 """Synthetic backbone pyramids for the harness and the test suites.
 
 Stands in for a real feature extractor: given a notional image extent
-divisible by 32, emits C2..C5 at strides {4, 8, 16, 32} with channels
-{c, 2c, 4c, 8c}. Two generation rules:
+divisible by 64 (see ``check_geometry``), emits C2..C5 at strides
+{4, 8, 16, 32} with channels {c, 2c, 4c, 8c}. Two generation rules:
 
 * ``noise``  seeded uniform values in [-1, 1); same seed, same pyramid,
   bit for bit;
@@ -16,18 +16,35 @@ import numpy as np
 
 from .errors import ConfigError
 from .neck import BackbonePyramid
-from .tensor import Tensor
+from .ops import _draw_uniform
+from .tensor import _wrap
 
 PATTERNS = ("noise", "ramp")
+
+
+def check_geometry(height: int, width: int) -> None:
+    """Reject an image extent the neck cannot run.
+
+    C5 sits at stride 32 and SCE halves it once more, so both extents must be
+    positive multiples of 64. Every entry point that takes a geometry (the
+    harness, the backbone generator, the cost model) calls this one check.
+    """
+    if height % 32 != 0 or width % 32 != 0:
+        raise ConfigError(f"geometry {height}x{width} must be divisible by 32")
+    if height % 64 != 0 or width % 64 != 0:
+        raise ConfigError(
+            f"geometry {height}x{width} must be divisible by 64: SCE needs an "
+            f"even C5 extent, got {height // 32}x{width // 32} at stride 32")
+    if height < 64 or width < 64:
+        raise ConfigError(f"geometry {height}x{width} is smaller than 64x64")
 
 
 def level_shapes(base_channel: int, height: int, width: int,
                  batch: int = 1) -> dict[int, tuple[int, int, int, int]]:
     """Backbone map shapes per level for a notional image extent."""
-    if height % 32 != 0 or width % 32 != 0:
-        raise ConfigError(f"image extent {height}x{width} must be divisible by 32")
-    if height < 32 or width < 32 or batch < 1:
-        raise ConfigError(f"image extent {height}x{width} (batch {batch}) too small")
+    check_geometry(height, width)
+    if batch < 1:
+        raise ConfigError(f"batch must be >= 1, got {batch}")
     return {i: (batch, base_channel * (1 << (i - 2)), height >> i, width >> i)
             for i in (2, 3, 4, 5)}
 
@@ -49,8 +66,8 @@ def synthetic_backbone(base_channel: int, height: int, width: int, batch: int = 
     maps = {}
     for i in (2, 3, 4, 5):
         if pattern == "noise":
-            data = rng.uniform(-1.0, 1.0, size=shapes[i]).astype(dtype)
+            data = _draw_uniform(rng, -1.0, 1.0, shapes[i], dtype)
         else:
             data = ramp_level(shapes[i], i, dtype)
-        maps[i] = Tensor(data)
+        maps[i] = _wrap(data)
     return BackbonePyramid(c2=maps[2], c3=maps[3], c4=maps[4], c5=maps[5])

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .backbone import check_geometry
 from .errors import ConfigError, ContractError
 from .neck import NeckConfig, NeckParams
 from .ops import ConvSpec, LinearSpec
@@ -138,8 +139,7 @@ class _Builder:
     def __init__(self, c: int, height: int, width: int, mac: int, bias: bool):
         if mac not in MAC_CONVENTIONS:
             raise ConfigError(f"mac convention must be one of {MAC_CONVENTIONS}, got {mac}")
-        if height % 32 != 0 or width % 32 != 0:
-            raise ConfigError(f"geometry {height}x{width} must be divisible by 32")
+        check_geometry(height, width)
         self.c = c
         self.mac = mac
         self.bias = bias

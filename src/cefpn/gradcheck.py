@@ -18,7 +18,7 @@ from .errors import ConfigError
 from .neck import NeckConfig, cefpn_forward, init_neck_params, pixel_shuffle, pixel_unshuffle
 from .ops import ConvSpec, LinearSpec, conv2d, global_avg_pool, global_max_pool, \
     interpolate_nearest, linear, max_pool2d
-from .tensor import GradTape, Tensor, add, backward, broadcast_spatial, channel_slice, \
+from .tensor import Tensor, add, backward, broadcast_spatial, channel_slice, \
     mul, mul_channelwise, relu, scale, sigmoid, squeeze_spatial, sum_all
 
 DEFAULT_STEP = 1e-6
@@ -224,11 +224,3 @@ def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
     err = check_loss_gradients(loss_fn, leaves, samples=samples, rng=rng, step=step)
     return EndToEndResult(err, min(samples, total), total)
 
-
-def tape_replay_matches(loss_fn: Callable[[], Tensor]) -> bool:
-    """Replaying a recorded tape on identical inputs must be bit-identical."""
-    loss = loss_fn()
-    tape = GradTape(loss)
-    before = loss.data.copy()
-    after = tape.replay()
-    return np.array_equal(before, after)

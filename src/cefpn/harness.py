@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .backbone import PATTERNS, synthetic_backbone
+from .backbone import PATTERNS, check_geometry, synthetic_backbone
 from .cost import MAC_CONVENTIONS, cefpn_report, compare_to_baseline, fpn_baseline_report, \
     variant_report
 from .errors import ConfigError
@@ -50,14 +50,7 @@ class RunConfig:
     backbone_pattern: str = "noise"
 
     def __post_init__(self):
-        if self.height % 32 != 0 or self.width % 32 != 0:
-            raise ConfigError(f"geometry {self.height}x{self.width} must be divisible by 32")
-        if self.height < 32 or self.width < 32:
-            raise ConfigError(f"geometry {self.height}x{self.width} is smaller than one stride-32 cell")
-        if self.height % 64 != 0 or self.width % 64 != 0:
-            raise ConfigError(
-                f"geometry {self.height}x{self.width} must be divisible by 64: SCE needs an "
-                f"even C5 extent, got {self.height // 32}x{self.width // 32} at stride 32")
+        check_geometry(self.height, self.width)
         if self.batch < 1:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
         if self.suite not in SUITES:
@@ -121,10 +114,14 @@ def _fmt_stat(v) -> str:
 
 
 def run_forward(config: RunConfig) -> SuiteReport:
-    """One forward pass over a synthetic pyramid; reports shapes and stats."""
+    """One forward pass over a synthetic pyramid; reports shapes and stats.
+
+    Runs as inference: the parameters do not require grad, so no op graph is
+    recorded and each op's saved state is freed as soon as it returns.
+    """
     dtype = DTYPES[config.precision]
     neck = config.neck_config()
-    params = init_neck_params(neck, config.seed, dtype=dtype)
+    params = init_neck_params(neck, config.seed, dtype=dtype, requires_grad=False)
     pyramid = synthetic_backbone(config.base_channel, config.height, config.width,
                                  config.batch, seed=config.seed + 1,
                                  pattern=config.backbone_pattern, dtype=dtype)

@@ -55,14 +55,9 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
         raise ConfigError(f"pixel_shuffle: {c} channels not divisible by r^2 = {r * r} (r = {r})")
     cq = c // (r * r)
 
-    def kernel():
-        blocks = x.data.reshape(n, r, r, cq, h, w)
-        return np.ascontiguousarray(blocks.transpose(0, 3, 4, 1, 5, 2)).reshape(n, cq, r * h, r * w)
-
-    def grad_fn(g):
-        return (_unshuffle_data(g, r),)
-
-    return _record("pixel_shuffle", kernel(), (x,), grad_fn, kernel)
+    blocks = x.data.reshape(n, r, r, cq, h, w)
+    out = np.ascontiguousarray(blocks.transpose(0, 3, 4, 1, 5, 2)).reshape(n, cq, r * h, r * w)
+    return _record("pixel_shuffle", out, (x,), lambda g: (_unshuffle_data(g, r),))
 
 
 def _unshuffle_data(d: np.ndarray, r: int) -> np.ndarray:
@@ -82,14 +77,11 @@ def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
     if h % r != 0 or w % r != 0:
         raise ShapeError(f"pixel_unshuffle: extents {h}x{w} not divisible by r = {r}")
 
-    def kernel():
-        return _unshuffle_data(x.data, r)
-
     def grad_fn(g):
         blocks = g.reshape(n, r, r, c, h // r, w // r)
         return (np.ascontiguousarray(blocks.transpose(0, 3, 4, 1, 5, 2)).reshape(n, c, h, w),)
 
-    return _record("pixel_unshuffle", kernel(), (x,), grad_fn, kernel)
+    return _record("pixel_unshuffle", _unshuffle_data(x.data, r), (x,), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -207,31 +199,31 @@ class NeckParams:
 
 
 def init_neck_params(config: NeckConfig, seed: int, dtype=np.float64,
-                     bias: bool = True) -> NeckParams:
+                     bias: bool = True, requires_grad: bool = True) -> NeckParams:
     """Seeded uniform initialization; identical seeds give bit-identical params.
 
     Allocation order is fixed: laterals ascending, post-merge convs ascending,
     the scheme-a reduction (when present), the three SCE convs, then the four
-    attention layers.
+    attention layers. With ``requires_grad=False`` no forward over these
+    parameters records a graph: inference keeps only live activations.
     """
     rng = np.random.default_rng(seed)
     c = config.base_channel
     back = config.backbone_channels()
-    laterals = {i: ConvSpec.seeded(rng, back[i], c, 1, bias=bias, dtype=dtype)
-                for i in config.levels}
-    post = {i: ConvSpec.seeded(rng, c, c, 3, bias=bias, dtype=dtype)
-            for i in config.levels}
+    opts = dict(bias=bias, dtype=dtype, requires_grad=requires_grad)
+    laterals = {i: ConvSpec.seeded(rng, back[i], c, 1, **opts) for i in config.levels}
+    post = {i: ConvSpec.seeded(rng, c, c, 3, **opts) for i in config.levels}
     ssf_reduce = None
     if config.ssf_scheme == "a":
-        ssf_reduce = ConvSpec.seeded(rng, 8 * c, 4 * c, 1, bias=bias, dtype=dtype)
-    sce_local = ConvSpec.seeded(rng, 8 * c, 4 * c, 3, bias=bias, dtype=dtype)
-    sce_wide = ConvSpec.seeded(rng, 8 * c, 16 * c, 1, bias=bias, dtype=dtype)
-    sce_squeeze = ConvSpec.seeded(rng, 8 * c, c, 1, bias=bias, dtype=dtype)
+        ssf_reduce = ConvSpec.seeded(rng, 8 * c, 4 * c, 1, **opts)
+    sce_local = ConvSpec.seeded(rng, 8 * c, 4 * c, 3, **opts)
+    sce_wide = ConvSpec.seeded(rng, 8 * c, 16 * c, 1, **opts)
+    sce_squeeze = ConvSpec.seeded(rng, 8 * c, c, 1, **opts)
     hidden = c // config.attention_reduction
-    fc1_s = LinearSpec.seeded(rng, c, hidden, bias=bias, dtype=dtype)
-    fc1_e = LinearSpec.seeded(rng, hidden, c, bias=bias, dtype=dtype)
-    fc2_s = LinearSpec.seeded(rng, c, hidden, bias=bias, dtype=dtype)
-    fc2_e = LinearSpec.seeded(rng, hidden, c, bias=bias, dtype=dtype)
+    fc1_s = LinearSpec.seeded(rng, c, hidden, **opts)
+    fc1_e = LinearSpec.seeded(rng, hidden, c, **opts)
+    fc2_s = LinearSpec.seeded(rng, c, hidden, **opts)
+    fc2_e = LinearSpec.seeded(rng, hidden, c, **opts)
     return NeckParams(laterals, post, ssf_reduce, sce_local, sce_wide, sce_squeeze,
                       fc1_s, fc1_e, fc2_s, fc2_e)
 

@@ -17,20 +17,36 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .tensor import Tensor, _record
+from .tensor import Tensor, _record, _wrap
 
 NEG_INF = -np.inf
+# Uniform draws go through float64 scratch buffers of at most this many
+# elements. Chunks consume the generator's stream exactly as one whole draw
+# does, so the values are the same at any chunk size.
+_DRAW_CHUNK = 1 << 16
 
 
 def _out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
     return (extent + 2 * padding - kernel) // stride + 1
 
 
-def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype) -> Tensor:
+def _draw_uniform(rng: np.random.Generator, low: float, high: float,
+                  shape: tuple[int, ...], dtype) -> np.ndarray:
+    """``rng.uniform(low, high, shape).astype(dtype)``, bit for bit, drawn in
+    chunks straight into a fresh buffer of the final dtype."""
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for start in range(0, flat.size, _DRAW_CHUNK):
+        stop = min(start + _DRAW_CHUNK, flat.size)
+        flat[start:stop] = rng.uniform(low, high, stop - start)
+    return out
+
+
+def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype,
+                 requires_grad: bool = True) -> Tensor:
     """Seeded uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)) parameter tensor."""
     bound = 1.0 / np.sqrt(fan_in)
-    data = rng.uniform(-bound, bound, size=shape).astype(dtype)
-    return Tensor(data, requires_grad=True)
+    return _wrap(_draw_uniform(rng, -bound, bound, shape, dtype), requires_grad)
 
 
 @dataclass
@@ -60,12 +76,13 @@ class ConvSpec:
     @classmethod
     def seeded(cls, rng: np.random.Generator, in_channels: int, out_channels: int,
                kernel: int, stride: int = 1, padding: int | None = None,
-               bias: bool = True, dtype=np.float64) -> "ConvSpec":
+               bias: bool = True, dtype=np.float64, requires_grad: bool = True) -> "ConvSpec":
         if padding is None:
             padding = (kernel - 1) // 2
         fan_in = in_channels * kernel * kernel
-        weight = uniform_init(rng, (out_channels, in_channels, kernel, kernel), fan_in, dtype)
-        b = uniform_init(rng, (out_channels,), fan_in, dtype) if bias else None
+        weight = uniform_init(rng, (out_channels, in_channels, kernel, kernel), fan_in, dtype,
+                              requires_grad)
+        b = uniform_init(rng, (out_channels,), fan_in, dtype, requires_grad) if bias else None
         return cls(in_channels, out_channels, kernel, stride, padding, weight, b, bias)
 
     @property
@@ -96,9 +113,9 @@ class LinearSpec:
 
     @classmethod
     def seeded(cls, rng: np.random.Generator, in_features: int, out_features: int,
-               bias: bool = True, dtype=np.float64) -> "LinearSpec":
-        weight = uniform_init(rng, (out_features, in_features), in_features, dtype)
-        b = uniform_init(rng, (out_features,), in_features, dtype) if bias else None
+               bias: bool = True, dtype=np.float64, requires_grad: bool = True) -> "LinearSpec":
+        weight = uniform_init(rng, (out_features, in_features), in_features, dtype, requires_grad)
+        b = uniform_init(rng, (out_features,), in_features, dtype, requires_grad) if bias else None
         return cls(in_features, out_features, weight, b, bias)
 
     @property
@@ -147,18 +164,14 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     o, ckk = spec.out_channels, c * k * k
     pointwise = k == 1 and s == 1 and p == 0
 
-    def forward(xd: np.ndarray, wd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        if pointwise:
-            cols = xd.reshape(n, c, h * w)
-        else:
-            padded = np.pad(xd, ((0, 0), (0, 0), (p, p), (p, p))) if p else xd
-            cols = _gather_windows(padded, k, s, oh, ow).reshape(n, ckk, oh * ow)
-        out = wd.reshape(o, ckk) @ cols  # (n, o, oh*ow)
-        if spec.bias_enabled:
-            out += bias.data.reshape(1, o, 1)
-        return out.reshape(n, o, oh, ow), cols
-
-    out_data, cols = forward(x.data, weight.data)
+    if pointwise:
+        cols = x.data.reshape(n, c, h * w)
+    else:
+        padded = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+        cols = _gather_windows(padded, k, s, oh, ow).reshape(n, ckk, oh * ow)
+    out = weight.data.reshape(o, ckk) @ cols  # (n, o, oh*ow)
+    if spec.bias_enabled:
+        out += bias.data.reshape(1, o, 1)
 
     def grad_fn(g: np.ndarray):
         g = g.reshape(n, o, oh * ow)
@@ -182,12 +195,16 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
             grads.append(g.sum(axis=(0, 2)))
         return tuple(grads)
 
-    return _record("conv2d", out_data, parents, grad_fn,
-                   lambda: forward(x.data, weight.data)[0])
+    return _record("conv2d", out.reshape(n, o, oh, ow), parents, grad_fn)
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
-    """Per-window maximum; padding positions hold -inf and are never selected."""
+    """Per-window maximum; padding positions hold -inf and are never selected.
+
+    A running maximum over the k^2 window taps, each a strided view of the
+    input. When ``x`` requires grad, the first maximal tap in row-major scan
+    order is tracked too (strict ``>``), for the backward pass.
+    """
     if x.data.ndim != 4:
         raise ShapeError(f"max_pool2d: input must be 4-d, got shape {x.shape}")
     if kernel < 1 or stride < 1:
@@ -198,15 +215,18 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
         raise ShapeError(
             f"max_pool2d: window {kernel}x{kernel} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
 
-    def forward(xd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        padded = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
+    padded = x.data
+    if padding:
+        padded = np.pad(padded, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
                         constant_values=NEG_INF)
-        cols = _gather_windows(padded, kernel, stride, oh, ow)
-        flat = cols.reshape(n, c, kernel * kernel, oh, ow)
-        idx = flat.argmax(axis=2)  # first max in (ky, kx) scan order
-        return flat.max(axis=2), idx
-
-    out_data, idx = forward(x.data)
+    taps = [padded[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride]
+            for ky in range(kernel) for kx in range(kernel)]
+    out = taps[0].copy()
+    idx = np.zeros(out.shape, dtype=np.intp) if x.requires_grad else None
+    for t, tap in enumerate(taps[1:], start=1):
+        if idx is not None:
+            np.copyto(idx, t, where=tap > out)
+        np.maximum(out, tap, out=out)
 
     def grad_fn(g: np.ndarray):
         gpad = np.zeros((n, c, h + 2 * padding, w + 2 * padding), dtype=g.dtype)
@@ -218,7 +238,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
             gpad = gpad[:, :, padding:padding + h, padding:padding + w]
         return (np.ascontiguousarray(gpad),)
 
-    return _record("max_pool2d", out_data, (x,), grad_fn, lambda: forward(x.data)[0])
+    return _record("max_pool2d", out, (x,), grad_fn)
 
 
 def global_avg_pool(x: Tensor) -> Tensor:
@@ -229,13 +249,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
     if h * w < 1:
         raise ShapeError(f"global_avg_pool: empty spatial extent {h}x{w}")
 
-    def kernel():
-        return x.data.mean(axis=(2, 3), keepdims=True)
-
     def grad_fn(g):
         return (np.broadcast_to(g / (h * w), x.shape).copy(),)
 
-    return _record("global_avg_pool", kernel(), (x,), grad_fn, kernel)
+    return _record("global_avg_pool", x.data.mean(axis=(2, 3), keepdims=True), (x,), grad_fn)
 
 
 def global_max_pool(x: Tensor) -> Tensor:
@@ -246,8 +263,7 @@ def global_max_pool(x: Tensor) -> Tensor:
     if h * w < 1:
         raise ShapeError(f"global_max_pool: empty spatial extent {h}x{w}")
 
-    flat = x.data.reshape(n, c, h * w)
-    idx = flat.argmax(axis=2)
+    idx = x.data.reshape(n, c, h * w).argmax(axis=2) if x.requires_grad else None
 
     def grad_fn(g):
         gx = np.zeros((n, c, h * w), dtype=g.dtype)
@@ -255,10 +271,7 @@ def global_max_pool(x: Tensor) -> Tensor:
         gx[ni, ci, idx] = g.reshape(n, c)
         return (gx.reshape(x.shape),)
 
-    def kernel():
-        return x.data.max(axis=(2, 3), keepdims=True)
-
-    return _record("global_max_pool", kernel(), (x,), grad_fn, kernel)
+    return _record("global_max_pool", x.data.max(axis=(2, 3), keepdims=True), (x,), grad_fn)
 
 
 def interpolate_nearest(x: Tensor, scale: int) -> Tensor:
@@ -269,9 +282,6 @@ def interpolate_nearest(x: Tensor, scale: int) -> Tensor:
         raise ConfigError(f"interpolate_nearest: scale must be a positive integer, got {scale}")
     n, c, h, w = x.shape
 
-    def kernel():
-        return np.repeat(np.repeat(x.data, scale, axis=2), scale, axis=3)
-
     def grad_fn(g):  # each input pixel sums its scale x scale block: s^2 strided adds
         gx = g[:, :, ::scale, ::scale].copy()
         for dy in range(scale):
@@ -280,7 +290,8 @@ def interpolate_nearest(x: Tensor, scale: int) -> Tensor:
                     gx += g[:, :, dy::scale, dx::scale]
         return (gx,)
 
-    return _record("interpolate_nearest", kernel(), (x,), grad_fn, kernel)
+    out = np.repeat(np.repeat(x.data, scale, axis=2), scale, axis=3)
+    return _record("interpolate_nearest", out, (x,), grad_fn)
 
 
 def linear(x: Tensor, spec: LinearSpec) -> Tensor:
@@ -294,11 +305,9 @@ def linear(x: Tensor, spec: LinearSpec) -> Tensor:
     weight, bias = spec.weight, spec.bias
     parents = (x, weight) + ((bias,) if spec.bias_enabled else ())
 
-    def kernel():
-        out = x.data @ weight.data.T
-        if spec.bias_enabled:
-            out = out + bias.data
-        return out
+    out = x.data @ weight.data.T
+    if spec.bias_enabled:
+        out = out + bias.data
 
     def grad_fn(g):
         gx = g @ weight.data
@@ -313,4 +322,4 @@ def linear(x: Tensor, spec: LinearSpec) -> Tensor:
             grads.append(gb)
         return tuple(grads)
 
-    return _record("linear", kernel(), parents, grad_fn, kernel)
+    return _record("linear", out, parents, grad_fn)

@@ -8,6 +8,8 @@ attention weights) are lower-rank tensors over the same machinery.
 Every operation is a pure function from input tensors to a fresh output
 tensor; the op graph is recorded on the outputs so that ``backward`` can
 push gradients from a scalar loss to every leaf marked ``requires_grad``.
+An op none of whose inputs requires grad records nothing, so inference over
+such tensors holds no graph.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class Tensor:
     """Immutable dense array plus the autodiff bookkeeping that produced it."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_kernel", "_op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_op", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.array(data, dtype=dtype, copy=True)
@@ -41,7 +43,6 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fn: Callable[[np.ndarray], tuple] | None = None
-        self._kernel: Callable[[], np.ndarray] | None = None
         self._op = "leaf"
 
     @classmethod
@@ -81,17 +82,28 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, op={self._op})"
 
 
-def _record(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...],
-            grad_fn: Callable[[np.ndarray], tuple], kernel: Callable[[], np.ndarray]) -> Tensor:
-    """Wrap an op result without copying, keeping the graph edge."""
+def _wrap(data: np.ndarray, requires_grad: bool = False, op: str = "leaf") -> Tensor:
+    """Freeze a fresh buffer into a tensor without copying it; the caller
+    must hold no other reference it will write through."""
     out = Tensor.__new__(Tensor)
-    out.data = _freeze(out_data)
-    out.requires_grad = any(p.requires_grad for p in parents)
+    out.data = _freeze(data)
+    out.requires_grad = requires_grad
     out.grad = None
-    out._parents = parents
-    out._grad_fn = grad_fn
-    out._kernel = kernel
+    out._parents = ()
+    out._grad_fn = None
     out._op = op
+    return out
+
+
+def _record(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...],
+            grad_fn: Callable[[np.ndarray], tuple]) -> Tensor:
+    """Wrap an op result without copying. The graph edge is kept only when
+    some parent requires grad; otherwise the output stores no parents and no
+    ``grad_fn``, so nothing the op saved for backward outlives the call."""
+    out = _wrap(out_data, any(p.requires_grad for p in parents), op)
+    if out.requires_grad:
+        out._parents = parents
+        out._grad_fn = grad_fn
     return out
 
 
@@ -118,8 +130,6 @@ class GradTape:
     """The op graph below one root, in topological (leaves-first) order.
 
     One tape per forward pass; tapes are not shared across concurrent passes.
-    ``replay`` recomputes every recorded op from the current leaf buffers and
-    must reproduce the original outputs bit-for-bit.
     """
 
     def __init__(self, root: Tensor):
@@ -127,13 +137,9 @@ class GradTape:
         self.nodes = _topo_order(root)
 
     def leaves(self) -> list[Tensor]:
-        return [n for n in self.nodes if n._kernel is None]
-
-    def replay(self) -> np.ndarray:
-        for node in self.nodes:
-            if node._kernel is not None:
-                node.data = _freeze(node._kernel())
-        return self.root.data
+        """Nodes with no recorded parents: inputs, parameters, and the
+        outputs of ops none of whose inputs required grad."""
+        return [n for n in self.nodes if not n._parents]
 
 
 def backward(loss: Tensor, tape: GradTape | None = None) -> None:
@@ -183,54 +189,35 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; shapes must match exactly."""
     if a.shape != b.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
-    return _record(
-        "add", a.data + b.data, (a, b),
-        lambda g: (g, g),
-        lambda: a.data + b.data,
-    )
+    return _record("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; shapes must match exactly."""
     if a.shape != b.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
-    return _record(
-        "mul", a.data * b.data, (a, b),
-        lambda g: (g * b.data, g * a.data),
-        lambda: a.data * b.data,
-    )
+    return _record("mul", a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def scale(x: Tensor, factor: float) -> Tensor:
     """Multiply every element by a python scalar."""
     f = float(factor)
-    return _record(
-        "scale", x.data * f, (x,),
-        lambda g: (g * f,),
-        lambda: x.data * f,
-    )
+    return _record("scale", x.data * f, (x,), lambda g: (g * f,))
 
 
 def relu(x: Tensor) -> Tensor:
-    def kernel():
-        return np.maximum(x.data, 0.0)
-
-    mask = x.data > 0
-    return _record("relu", kernel(), (x,), lambda g: (g * mask,), kernel)
+    mask = x.data > 0 if x.requires_grad else None
+    return _record("relu", np.maximum(x.data, 0.0), (x,), lambda g: (g * mask,))
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    def kernel():
-        d = x.data
-        out = np.empty_like(d)
-        pos = d >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-        ex = np.exp(d[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
-
-    s = kernel()
-    return _record("sigmoid", s, (x,), lambda g: (g * s * (1.0 - s),), kernel)
+    d = x.data
+    s = np.empty_like(d)
+    pos = d >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
+    ex = np.exp(d[~pos])
+    s[~pos] = ex / (1.0 + ex)
+    return _record("sigmoid", s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def mul_channelwise(x: Tensor, w: Tensor) -> Tensor:
@@ -256,20 +243,13 @@ def mul_channelwise(x: Tensor, w: Tensor) -> Tensor:
             gw = gw.sum(axis=0)
         return gx, gw
 
-    def kernel():
-        wd = w.data.reshape(wb.shape)
-        return x.data * wd
-
-    return _record("mul_channelwise", x.data * wb, (x, w), grad_fn, kernel)
+    return _record("mul_channelwise", x.data * wb, (x, w), grad_fn)
 
 
 def sum_all(x: Tensor) -> Tensor:
     """Reduce to a rank-0 scalar tensor."""
-    def kernel():
-        return np.asarray(x.data.sum())
-
-    return _record("sum_all", kernel(), (x,),
-                   lambda g: (np.broadcast_to(g, x.shape).copy(),), kernel)
+    return _record("sum_all", np.asarray(x.data.sum()), (x,),
+                   lambda g: (np.broadcast_to(g, x.shape).copy(),))
 
 
 def channel_slice(x: Tensor, start: int, stop: int) -> Tensor:
@@ -285,10 +265,7 @@ def channel_slice(x: Tensor, start: int, stop: int) -> Tensor:
         gx[:, start:stop] = g
         return (gx,)
 
-    def kernel():
-        return x.data[:, start:stop].copy()
-
-    return _record("channel_slice", kernel(), (x,), grad_fn, kernel)
+    return _record("channel_slice", x.data[:, start:stop].copy(), (x,), grad_fn)
 
 
 def broadcast_spatial(x: Tensor, height: int, width: int) -> Tensor:
@@ -298,12 +275,8 @@ def broadcast_spatial(x: Tensor, height: int, width: int) -> Tensor:
     if height < 1 or width < 1:
         raise ShapeError(f"broadcast_spatial: target extent {height}x{width} invalid")
     n, c = x.shape[0], x.shape[1]
-
-    def kernel():
-        return np.broadcast_to(x.data, (n, c, height, width)).copy()
-
-    return _record("broadcast_spatial", kernel(), (x,),
-                   lambda g: (g.sum(axis=(2, 3), keepdims=True),), kernel)
+    return _record("broadcast_spatial", np.broadcast_to(x.data, (n, c, height, width)).copy(),
+                   (x,), lambda g: (g.sum(axis=(2, 3), keepdims=True),))
 
 
 def squeeze_spatial(x: Tensor) -> Tensor:
@@ -311,10 +284,5 @@ def squeeze_spatial(x: Tensor) -> Tensor:
     if x.data.ndim != 4 or x.shape[2] != 1 or x.shape[3] != 1:
         raise ShapeError(f"squeeze_spatial: expected (n, c, 1, 1), got {x.shape}")
     n, c = x.shape[0], x.shape[1]
-
-    def kernel():
-        return x.data.reshape(n, c).copy()
-
-    return _record("squeeze_spatial", kernel(), (x,),
-                   lambda g: (g.reshape(n, c, 1, 1),), kernel)
-
+    return _record("squeeze_spatial", x.data.reshape(n, c).copy(), (x,),
+                   lambda g: (g.reshape(n, c, 1, 1),))

@@ -82,6 +82,29 @@ def max_pool_loops(x: np.ndarray, kernel: int, stride: int, padding: int) -> np.
     return out
 
 
+def max_pool_grad_loops(x: np.ndarray, g: np.ndarray, kernel: int, stride: int,
+                        padding: int) -> np.ndarray:
+    """Gradient of sum(g * maxpool(x)): each output position sends its
+    upstream value to the first maximal element of its window, scanning the
+    window row by row."""
+    n, c, h, w = x.shape
+    oh, ow = g.shape[2], g.shape[3]
+    gx = np.zeros_like(x)
+    for ni in range(n):
+        for ci in range(c):
+            for oy in range(oh):
+                for ox in range(ow):
+                    best, at = -np.inf, None
+                    for ky in range(kernel):
+                        for kx in range(kernel):
+                            iy = oy * stride + ky - padding
+                            ix = ox * stride + kx - padding
+                            if 0 <= iy < h and 0 <= ix < w and x[ni, ci, iy, ix] > best:
+                                best, at = x[ni, ci, iy, ix], (iy, ix)
+                    gx[ni, ci, at[0], at[1]] += g[ni, ci, oy, ox]
+    return gx
+
+
 def global_avg_loops(x: np.ndarray) -> np.ndarray:
     """Running sum divided by the position count."""
     n, c, h, w = x.shape

@@ -1,10 +1,13 @@
-"""Synthetic backbone generation: shapes, determinism, and the ramp."""
+"""Synthetic backbone generation: shapes, determinism, the ramp, and the one
+geometry rule every entry point shares."""
 
 import numpy as np
 import pytest
 
-from cefpn import ConfigError, synthetic_backbone
+from cefpn import ConfigError, NeckConfig, cefpn_report, count_flops, \
+    fpn_baseline_report, init_neck_params, synthetic_backbone, variant_report
 from cefpn.backbone import level_shapes, ramp_level
+from cefpn.ops import _DRAW_CHUNK
 
 
 def test_level_shapes_follow_strides():
@@ -16,6 +19,39 @@ def test_level_shapes_follow_strides():
 def test_geometry_must_divide_32():
     with pytest.raises(ConfigError):
         level_shapes(16, 60, 64)
+
+
+DESK = NeckConfig(base_channel=16, attention_reduction=4)
+
+# every entry point that takes an image geometry
+GEOMETRY_PATHS = {
+    "level_shapes": lambda h, w: level_shapes(16, h, w),
+    "synthetic_backbone": lambda h, w: synthetic_backbone(16, h, w),
+    "fpn_baseline_report": lambda h, w: fpn_baseline_report(16, (h, w)),
+    "variant_report": lambda h, w: variant_report("sce", 16, (h, w), attention_reduction=4),
+    "cefpn_report": lambda h, w: cefpn_report(DESK, (h, w)),
+    "count_flops": lambda h, w: count_flops(init_neck_params(DESK, 0), DESK, (h, w)),
+}
+
+
+@pytest.mark.parametrize("path", sorted(GEOMETRY_PATHS))
+def test_every_path_rejects_an_odd_c5_extent(path):
+    # 96x96 puts a 3x3 C5 under SCE, which needs an even extent
+    with pytest.raises(ConfigError, match="divisible by 64.*even C5"):
+        GEOMETRY_PATHS[path](96, 96)
+    GEOMETRY_PATHS[path](64, 128)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_noise_equals_one_whole_draw_per_level(dtype):
+    pyramid = synthetic_backbone(64, 128, 128, batch=2, seed=5, dtype=dtype)
+    assert pyramid.c2.size > _DRAW_CHUNK
+    rng = np.random.default_rng(5)
+    for i in (2, 3, 4, 5):
+        level = pyramid.level(i)
+        want = rng.uniform(-1.0, 1.0, size=level.shape).astype(dtype)
+        assert level.dtype == dtype and np.array_equal(level.data, want), f"C{i}"
+        assert not level.requires_grad
 
 
 def test_same_seed_bit_identical_pyramid():

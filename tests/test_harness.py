@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +35,18 @@ def poison_level(monkeypatch, level, values):
         return dataclasses.replace(out, **{level: Tensor(data)})
 
     monkeypatch.setattr(cefpn.harness, "cefpn_forward", poisoned)
+
+
+# `cefpn --suite forward` stdout at desk scale, stored byte for byte from the
+# forward suite as it ran with every parameter requiring grad. The graph-free
+# suite must reproduce these bytes exactly.
+FORWARD_GOLDEN = json.loads((Path(__file__).parent / "forward_desk_golden.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(FORWARD_GOLDEN))
+def test_forward_json_is_byte_identical_to_stored(argv, capsys):
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == FORWARD_GOLDEN[argv]
 
 
 class TestRunConfig:

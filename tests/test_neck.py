@@ -399,17 +399,6 @@ class TestCefpnForward:
             assert tensor.grad is not None, name
             assert np.all(np.isfinite(tensor.grad)), name
 
-    def test_full_graph_tape_replay_is_bit_identical(self):
-        from cefpn import GradTape
-        config, params, pyramid = desk_setup(seed=2)
-        out = cefpn_forward(pyramid, params, config)
-        loss = sum_all(out.r2)
-        for t in (out.r3, out.r4, out.r5):
-            loss = add(loss, sum_all(t))
-        tape = GradTape(loss)
-        before = loss.data.copy()
-        assert np.array_equal(tape.replay(), before)
-
     @pytest.mark.parametrize("scheme", ["a", "b", "c"])
     def test_backward_never_writes_an_incoming_gradient(self, scheme):
         from cefpn import GradTape, backward
@@ -451,6 +440,68 @@ class TestCefpnForward:
             ref, got = outs[np.float64].level(i).data, outs[np.float32].level(i).data
             assert got.dtype == np.float32
             assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref)), f"R{i}"
+
+
+class TestGraphFree:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("f5_p5", [False, True])
+    @pytest.mark.parametrize("scheme", ["a", "b", "c"])
+    def test_grad_free_params_give_bit_identical_outputs_and_no_graph(self, scheme, f5_p5,
+                                                                       dtype):
+        config = desk_config(ssf_scheme=scheme, include_f5_p5=f5_p5)
+        pyramid = synthetic_backbone(16, 64, 64, batch=2, seed=3, dtype=dtype)
+        graph = cefpn_forward(pyramid, init_neck_params(config, 2, dtype=dtype), config)
+        free = cefpn_forward(
+            pyramid, init_neck_params(config, 2, dtype=dtype, requires_grad=False), config)
+        for i in (2, 3, 4, 5):
+            assert graph.level(i).requires_grad and graph.level(i)._parents, f"R{i}"
+            out = free.level(i)
+            assert not out.requires_grad and out._parents == () and out._grad_fn is None
+            assert out.dtype == dtype
+            assert np.array_equal(out.data, graph.level(i).data), f"R{i}"
+
+    def test_intermediates_die_when_forward_returns(self, monkeypatch):
+        import weakref
+
+        import cefpn.neck
+        config = desk_config(ssf_scheme="a", include_f5_p5=True)
+        pyramid = synthetic_backbone(16, 64, 64, seed=1)
+        real_conv = cefpn.neck.conv2d
+
+        def conv_outputs(requires_grad):
+            refs = []
+
+            def conv(x, spec):
+                out = real_conv(x, spec)
+                refs.append(weakref.ref(out))
+                return out
+
+            monkeypatch.setattr(cefpn.neck, "conv2d", conv)
+            params = init_neck_params(config, 0, requires_grad=requires_grad)
+            return cefpn_forward(pyramid, params, config), refs
+
+        outs, refs = conv_outputs(requires_grad=False)  # outputs held, intermediates not
+        assert len(refs) == 12 and all(r() is None for r in refs)
+        outs, refs = conv_outputs(requires_grad=True)  # the recorded graph holds them
+        assert all(r() is not None for r in refs)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_params_equal_one_whole_draw_per_tensor(self, dtype):
+        from cefpn.ops import _DRAW_CHUNK
+        config = NeckConfig(base_channel=64, ssf_scheme="a", attention_reduction=4,
+                            include_f5_p5=True)
+        params = init_neck_params(config, 11, dtype=dtype)
+        assert params.sce_local.weight.size > _DRAW_CHUNK
+        rng = np.random.default_rng(11)  # allocation order is named_layers order
+        for name, _module, spec in params.named_layers():
+            if isinstance(spec, ConvSpec):
+                fan_in = spec.in_channels * spec.kernel * spec.kernel
+            else:
+                fan_in = spec.in_features
+            bound = 1.0 / np.sqrt(fan_in)
+            for t in spec.parameters():
+                want = rng.uniform(-bound, bound, size=t.shape).astype(dtype)
+                assert t.dtype == dtype and np.array_equal(t.data, want), name
 
 
 def level_sum_loss(out):

@@ -3,13 +3,18 @@ nested-loop reference implementations."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cefpn import ConfigError, ConvSpec, LinearSpec, ShapeError, Tensor, backward, conv2d, \
     global_avg_pool, global_max_pool, interpolate_nearest, linear, max_pool2d, mul, sum_all
 from oracles import conv2d_grad_loops, conv2d_loops, global_avg_loops, global_max_loops, \
-    interp_nearest_grad_loops, interp_nearest_loops, linear_loops, max_pool_loops
+    interp_nearest_grad_loops, interp_nearest_loops, linear_loops, max_pool_grad_loops, \
+    max_pool_loops
+
+# (kernel, stride, padding) of every max pool the neck runs: P2 and P3 down to
+# P4's extent, SCE's pooled pathway, and the stride-2 R5 subsample.
+NECK_POOLS = ((4, 4, 0), (2, 2, 0), (3, 2, 1), (1, 2, 0))
 
 
 def conv_spec(weight, bias=None, stride=1, padding=None):
@@ -162,14 +167,37 @@ class TestMaxPool:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.integers(1, 3),
            st.integers(1, 4), st.integers(1, 3), st.integers(0, 1),
-           st.integers(4, 7), st.integers(4, 7))
-    def test_property_matches_loop_oracle(self, seed, n, c, kernel, stride, padding, h, w):
+           st.integers(4, 7), st.integers(4, 7), st.booleans())
+    def test_property_matches_loop_oracle(self, seed, n, c, kernel, stride, padding, h, w,
+                                          requires_grad):
         if padding >= kernel or h + 2 * padding < kernel or w + 2 * padding < kernel:
             return
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, (n, c, h, w))
-        got = max_pool2d(Tensor(x), kernel, stride, padding)
+        got = max_pool2d(Tensor(x, requires_grad=requires_grad), kernel, stride, padding)
         assert np.array_equal(got.data, max_pool_loops(x, kernel, stride, padding))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.integers(1, 3),
+           st.one_of(st.sampled_from(NECK_POOLS),
+                     st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(0, 1))),
+           st.integers(4, 8), st.integers(4, 8))
+    @example(0, 2, 2, NECK_POOLS[0], 8, 8)
+    @example(1, 2, 2, NECK_POOLS[1], 8, 8)
+    @example(2, 2, 2, NECK_POOLS[2], 8, 8)
+    @example(3, 2, 2, NECK_POOLS[3], 8, 8)
+    def test_backward_routes_ties_like_loop_oracle(self, seed, n, c, pool, h, w):
+        # values from {-2, ..., 2} make most windows hold tied maxima
+        kernel, stride, padding = pool
+        if padding >= kernel or h + 2 * padding < kernel or w + 2 * padding < kernel:
+            return
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.integers(-2, 3, (n, c, h, w)).astype(np.float64), requires_grad=True)
+        out = max_pool2d(x, kernel, stride, padding)
+        upstream = rng.integers(1, 5, out.shape).astype(np.float64)
+        backward(sum_all(mul(out, Tensor(upstream))))
+        want = max_pool_grad_loops(x.data, upstream, kernel, stride, padding)
+        assert np.array_equal(x.grad, want)
 
 
 class TestGlobalPools:

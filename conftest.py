@@ -1,5 +1,24 @@
 import sys
 from pathlib import Path
 
+import pytest
+
 sys.path.insert(0, str(Path(__file__).parent / "src"))
 sys.path.insert(0, str(Path(__file__).parent / "tests"))
+
+
+@pytest.fixture
+def corrupt_conv3x3(monkeypatch):
+    """Negative control: every 3x3 convolution the per-op gradient suite
+    builds hands back its analytic gradients scaled by 1.5."""
+    import cefpn.gradcheck as gradcheck
+    real = gradcheck.conv2d
+
+    def conv2d(x, spec):
+        out = real(x, spec)
+        if spec.kernel == 3 and out._grad_fn is not None:
+            grad_fn = out._grad_fn
+            out._grad_fn = lambda g: tuple(None if t is None else 1.5 * t for t in grad_fn(g))
+        return out
+
+    monkeypatch.setattr(gradcheck, "conv2d", conv2d)

@@ -13,7 +13,7 @@ The package has four parts:
 
 from .backbone import level_shapes, ramp_level, synthetic_backbone
 from .cost import CostEntry, CostReport, DeltaSummary, cefpn_report, compare_to_baseline, \
-    count_flops, count_params, fpn_baseline_report, variant_report
+    fpn_baseline_report, variant_report
 from .errors import ConfigError, ContractError, ShapeError
 from .gradcheck import EndToEndResult, end_to_end_gradcheck, linear_only_error, \
     op_gradient_suite

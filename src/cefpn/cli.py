@@ -48,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="include_f5_p5")
     p.add_argument("--out", type=Path, default=None,
                    help="directory for report files (default: print to stdout)")
-    p.add_argument("--corrupt-gradient", default=None, dest="corrupt_gradient",
-                   help=argparse.SUPPRESS)  # negative-control fixture for tests
     return p
 
 
@@ -77,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     try:
-        reports = run_suites(config, corrupt_op=args.corrupt_gradient)
+        reports = run_suites(config)
     except (ConfigError, ShapeError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -1,32 +1,51 @@
-"""Static parameter and FLOP accounting for the neck and its ablations.
+"""Parameter and FLOP tables for the neck and its ablations, read off the forward.
 
-Parameter counts are exact integers and geometry independent: a convolution
-costs out*in*k*k (+out bias), a fully connected layer out*in (+out bias),
-and rearrangements cost nothing. FLOPs are counted per image at a stated
-input geometry: MAC-bearing layers cost mac*out*in*k*k*h_out*w_out with the
-multiply-accumulate convention (1 or 2) recorded in the report; structural
-elementwise sums and products cost 1 per element; pooling, interpolation,
-pixel shuffling, and nonlinearities cost 0.
+Every table comes from one trace of ``cefpn_forward``: the neck runs at
+batch 0 over parameters that allocate nothing (a 0-d zero seen through
+all-zero strides) and records each op under the module path of its scope
+(see ``tensor.scope``). One row per path, charged per image:
 
-Sub-pixel skip fusion is charged only for layers it allocates: schemes b
+* a convolution or fully connected layer costs mac * |W| * out_h * out_w
+  FLOPs (out_h = out_w = 1 for a fully connected layer) under the stated
+  multiply-accumulate convention (1 or 2), and its weight plus bias
+  elements as parameters;
+* an ``add``, ``scale`` or ``mul_channelwise`` costs 1 FLOP per output
+  element, except inside ``ssf``;
+* everything else (pooling, interpolation, pixel shuffling, slicing,
+  broadcasting, nonlinearities) is free.
+
+The sub-pixel skip fusion sums stay uncharged by that exception: schemes b
 and c are pure rearrangement plus fusion sums and report 0 FLOPs, keeping
 the defining property that the sub-pixel connections add no computation
 (the uncharged sums are orders of magnitude below the conv totals anyway).
 
-Comparisons against a plain feature pyramid baseline (laterals C2..C5,
-post-merge 3x3 convolutions P2..P5) reproduce the reference deltas:
+Rows are grouped by module in the order the forward first reaches each
+module, and keep execution order within it. So ``top_down`` lists its rows
+from the top level down (``upsample_to_F4``, ``add_F4``, ...), the order the
+merge runs them.
+
+The plain feature pyramid baseline (laterals C2..C5, post-merge 3x3
+convolutions P2..P5) is the ``lateral``, ``top_down`` and ``post_merge``
+rows of the F5/P5 neck; each ablation variant adds one mechanism's modules
+(``VARIANTS``). Against it the model reproduces the reference deltas:
 +2,098,176 parameters for scheme a, zero for schemes b/c, +8,720 for the
 attention module, and the full neck within 5% of the +27.28M total.
+
+Every configuration goes through ``NeckConfig``, so the cost model rejects
+with a ``ConfigError`` exactly the widths and reductions the neck rejects.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .backbone import check_geometry
+import numpy as np
+
+from .backbone import level_shapes
 from .errors import ConfigError, ContractError
-from .neck import NeckConfig, NeckParams
-from .ops import ConvSpec, LinearSpec
+from .neck import BackbonePyramid, NeckConfig, _build_params, cefpn_forward
+from .tensor import Tensor, _traced, _wrap
 
 MAC_CONVENTIONS = (1, 2)
 
@@ -133,137 +152,73 @@ class DeltaSummary:
                 f"params {self.params_delta:+d}, flops {self.flops_delta:+d}\n")
 
 
-class _Builder:
-    """Accumulates entries for one model variant at one geometry."""
+_BASELINE_MODULES = ("lateral", "top_down", "post_merge")
+# Each ablation variant: the neck it is traced from, and the modules it adds
+# to the baseline's.
+VARIANTS = {
+    "ssf_a": ({"ssf_scheme": "a", "include_f5_p5": True}, ("ssf",)),
+    "ssf_b": ({"ssf_scheme": "b", "include_f5_p5": True}, ("ssf",)),
+    "ssf_c": ({"ssf_scheme": "c", "include_f5_p5": True}, ("ssf",)),
+    "sce": ({"include_f5_p5": False}, ("sce", "integration")),
+    "cag": ({"include_f5_p5": True}, ("cag",)),
+}
+_MAC_OPS = ("conv2d", "linear")
+_ELEMENTWISE_OPS = ("add", "scale", "mul_channelwise")
+_ZERO = np.zeros(())
 
-    def __init__(self, c: int, height: int, width: int, mac: int, bias: bool):
-        if mac not in MAC_CONVENTIONS:
-            raise ConfigError(f"mac convention must be one of {MAC_CONVENTIONS}, got {mac}")
-        check_geometry(height, width)
-        self.c = c
-        self.mac = mac
-        self.bias = bias
-        self.extent = {i: (height >> i, width >> i) for i in (2, 3, 4, 5)}
-        self.entries: list[CostEntry] = []
 
-    def conv(self, layer: str, module: str, cin: int, cout: int, k: int,
-             out_extent: tuple[int, int]) -> None:
-        params = cout * cin * k * k + (cout if self.bias else 0)
-        flops = self.mac * cout * cin * k * k * out_extent[0] * out_extent[1]
-        self.entries.append(CostEntry(layer, module, KIND_MAC, params, flops))
+def _zeros(shape: tuple[int, ...], _fan_in: int = 0) -> Tensor:
+    """A zero tensor that allocates nothing. (``np.zeros`` never touches its
+    pages either, but tracemalloc would still count every byte.)"""
+    t = _wrap(np.empty(0))
+    t.data = np.broadcast_to(_ZERO, shape)
+    return t
 
-    def fc(self, layer: str, module: str, fin: int, fout: int) -> None:
-        params = fout * fin + (fout if self.bias else 0)
-        self.entries.append(CostEntry(layer, module, KIND_MAC, params, self.mac * fout * fin))
 
-    def elementwise(self, layer: str, module: str, count: int) -> None:
-        self.entries.append(CostEntry(layer, module, KIND_ELEMENTWISE, 0, count))
-
-    def free(self, layer: str, module: str) -> None:
-        self.entries.append(CostEntry(layer, module, KIND_FREE, 0, 0))
-
-    # structural pieces -----------------------------------------------------
-
-    def laterals(self, levels: tuple[int, ...]) -> None:
-        for i in levels:
-            cin = self.c * (1 << (i - 2))
-            self.conv(f"lateral.C{i}", "lateral", cin, self.c, 1, self.extent[i])
-
-    def post_merge(self, levels: tuple[int, ...]) -> None:
-        for i in levels:
-            self.conv(f"post_merge.P{i}", "post_merge", self.c, self.c, 3, self.extent[i])
-
-    def top_down(self, levels: tuple[int, ...]) -> None:
-        below_top = sorted(levels)[:-1]
-        for i in below_top:
-            h, w = self.extent[i]
-            self.free(f"top_down.upsample_to_F{i}", "top_down")
-            self.elementwise(f"top_down.add_F{i}", "top_down", self.c * h * w)
-
-    def ssf(self, scheme: str) -> None:
-        # C4 -> F3: channel count is already 4x the pyramid width.
-        self.free("ssf.shuffle_C4", "ssf")
-        self.free("ssf.fuse_F3", "ssf")
-        if scheme == "a":
-            self.conv("ssf.reduce_C5", "ssf", 8 * self.c, 4 * self.c, 1, self.extent[5])
-            self.free("ssf.shuffle_C5", "ssf")
-        elif scheme == "b":
-            self.free("ssf.shuffle_C5_half", "ssf")
-        else:
-            self.free("ssf.shuffle_C5_lo", "ssf")
-            self.free("ssf.shuffle_C5_hi", "ssf")
-        self.free("ssf.fuse_F4", "ssf")
-
-    def sce(self) -> None:
-        h5, w5 = self.extent[5]
-        pooled = ((h5 - 1) // 2 + 1, (w5 - 1) // 2 + 1)
-        out = (2 * h5, 2 * w5)
-        self.conv("sce.local_3x3", "sce", 8 * self.c, 4 * self.c, 3, self.extent[5])
-        self.free("sce.local_shuffle", "sce")
-        self.free("sce.pool_3x3", "sce")
-        self.conv("sce.wide_1x1", "sce", 8 * self.c, 16 * self.c, 1, pooled)
-        self.free("sce.wide_shuffle", "sce")
-        self.free("sce.global_pool", "sce")
-        self.conv("sce.squeeze_1x1", "sce", 8 * self.c, self.c, 1, (1, 1))
-        self.free("sce.broadcast", "sce")
-        self.elementwise("sce.aggregate", "sce", 2 * self.c * out[0] * out[1])
-
-    def integration(self) -> None:
-        h, w = self.extent[4]
-        self.free("integration.pool_P2", "integration")
-        self.free("integration.pool_P3", "integration")
-        self.elementwise("integration.mean", "integration", 3 * self.c * h * w)
-        self.elementwise("integration.add_context", "integration", self.c * h * w)
-
-    def cag(self, reduction: int, output_levels: dict[int, tuple[int, int]]) -> None:
-        hidden = self.c // reduction
-        self.free("cag.avg_pool", "cag")
-        self.free("cag.max_pool", "cag")
-        self.fc("cag.fc1_squeeze", "cag", self.c, hidden)
-        self.fc("cag.fc1_expand", "cag", hidden, self.c)
-        self.fc("cag.fc2_squeeze", "cag", self.c, hidden)
-        self.fc("cag.fc2_expand", "cag", hidden, self.c)
-        self.elementwise("cag.merge", "cag", self.c)
-        self.free("cag.sigmoid", "cag")
-        for i, (h, w) in sorted(output_levels.items()):
-            self.elementwise(f"cag.apply_R{i}", "cag", self.c * h * w)
-
-    def report(self, name: str, height: int, width: int) -> CostReport:
-        return CostReport(name, self.c, (height, width), self.mac, self.bias,
-                          tuple(self.entries))
+def _report(name: str, config: NeckConfig, geometry: tuple[int, int], mac: int, bias: bool,
+            modules: tuple[str, ...] | None = None) -> CostReport:
+    """Trace the neck of ``config`` and tabulate the rows of ``modules`` (all
+    when None) under the charging rules of the module docstring."""
+    if mac not in MAC_CONVENTIONS:
+        raise ConfigError(f"mac convention must be one of {MAC_CONVENTIONS}, got {mac}")
+    h, w = geometry
+    shapes = level_shapes(config.base_channel, h, w)
+    backbone = BackbonePyramid(*(_zeros((0,) + shapes[i][1:]) for i in (2, 3, 4, 5)))
+    params = _build_params(config, _zeros, bias)
+    rows: dict[str, list] = {}
+    for layer, op, out, parents in _traced(lambda: cefpn_forward(backbone, params, config)):
+        module = layer.split(".")[0]
+        if modules is not None and module not in modules:
+            continue
+        row = rows.setdefault(layer, [module, KIND_FREE, 0, 0])
+        if op in _MAC_OPS:
+            row[1] = KIND_MAC
+            row[2] += sum(math.prod(s) for s in parents[1:])
+            row[3] += mac * math.prod(parents[1]) * math.prod(out[2:])
+        elif op in _ELEMENTWISE_OPS and module != "ssf":
+            if row[1] == KIND_FREE:
+                row[1] = KIND_ELEMENTWISE
+            row[3] += math.prod(out[1:])
+    reached = list(dict.fromkeys(row[0] for row in rows.values()))
+    entries = sorted((CostEntry(layer, *row) for layer, row in rows.items()),
+                     key=lambda e: reached.index(e.module))
+    return CostReport(name, config.base_channel, (h, w), mac, bias, tuple(entries))
 
 
 def fpn_baseline_report(base_channel: int, geometry: tuple[int, int],
                         mac_convention: int = 2, bias: bool = True) -> CostReport:
     """The plain feature pyramid neck used as the comparison baseline:
     laterals for C2..C5 (F5 included) and post-merge convolutions P2..P5."""
-    h, w = geometry
-    b = _Builder(base_channel, h, w, mac_convention, bias)
-    levels = (2, 3, 4, 5)
-    b.laterals(levels)
-    b.top_down(levels)
-    b.post_merge(levels)
-    return b.report("baseline", h, w)
+    # Any reduction valid at every width: the attention rows are not read.
+    config = NeckConfig(base_channel, attention_reduction=1, include_f5_p5=True)
+    return _report("baseline", config, geometry, mac_convention, bias, _BASELINE_MODULES)
 
 
 def cefpn_report(config: NeckConfig, geometry: tuple[int, int],
                  mac_convention: int = 2, bias: bool = True,
                  name: str = "cefpn") -> CostReport:
     """The full neck for the given configuration."""
-    h, w = geometry
-    b = _Builder(config.base_channel, h, w, mac_convention, bias)
-    b.laterals(config.levels)
-    b.ssf(config.ssf_scheme)
-    b.top_down(config.levels)
-    b.post_merge(config.levels)
-    b.sce()
-    b.integration()
-    outputs = {i: b.extent[i] for i in (2, 3, 4)}
-    outputs[5] = b.extent[5]  # P5 when kept, else the stride-2 subsample of P4
-    b.cag(config.attention_reduction, outputs)
-    if not config.include_f5_p5:
-        b.free("output.R5_subsample", "output")
-    return b.report(name, h, w)
+    return _report(name, config, geometry, mac_convention, bias)
 
 
 def variant_report(variant: str, base_channel: int, geometry: tuple[int, int],
@@ -274,60 +229,11 @@ def variant_report(variant: str, base_channel: int, geometry: tuple[int, int],
     ``ssf_a``/``ssf_b``/``ssf_c`` and ``cag`` keep F5/P5 alongside the added
     module; ``sce`` removes F5/P5 (the adopted configuration).
     """
-    h, w = geometry
-    b = _Builder(base_channel, h, w, mac_convention, bias)
-    if variant in ("ssf_a", "ssf_b", "ssf_c"):
-        levels = (2, 3, 4, 5)
-        b.laterals(levels)
-        b.ssf(variant[-1])
-        b.top_down(levels)
-        b.post_merge(levels)
-    elif variant == "sce":
-        levels = (2, 3, 4)
-        b.laterals(levels)
-        b.top_down(levels)
-        b.post_merge(levels)
-        b.sce()
-        b.integration()
-    elif variant == "cag":
-        levels = (2, 3, 4, 5)
-        b.laterals(levels)
-        b.top_down(levels)
-        b.post_merge(levels)
-        b.cag(attention_reduction, {i: b.extent[i] for i in levels})
-    else:
+    if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")
-    return b.report(variant, h, w)
-
-
-def _layer_dims(spec: ConvSpec | LinearSpec) -> tuple[int, int, int]:
-    if isinstance(spec, ConvSpec):
-        return spec.in_channels, spec.out_channels, spec.kernel
-    return spec.in_features, spec.out_features, 1
-
-
-def count_params(params: NeckParams, config: NeckConfig) -> CostReport:
-    """Exact parameter counts for the layers actually allocated.
-
-    The formula total equals ``params.scalar_count()`` (cross-checked in the
-    property suite); flops are left at zero here.
-    """
-    entries = []
-    bias_flags = set()
-    for name, module, spec in params.named_layers():
-        cin, cout, k = _layer_dims(spec)
-        n = cout * cin * k * k + (cout if spec.bias_enabled else 0)
-        entries.append(CostEntry(name, module, KIND_MAC, n, 0))
-        bias_flags.add(spec.bias_enabled)
-    bias = bias_flags == {True}
-    return CostReport("params", config.base_channel, (0, 0), 2, bias, tuple(entries))
-
-
-def count_flops(params: NeckParams, config: NeckConfig, geometry: tuple[int, int],
-                mac_convention: int = 2) -> CostReport:
-    """Full cost report (params and flops) at the given image geometry."""
-    bias = all(spec.bias_enabled for _n, _m, spec in params.named_layers())
-    return cefpn_report(config, geometry, mac_convention, bias)
+    overrides, added = VARIANTS[variant]
+    config = NeckConfig(base_channel, attention_reduction=attention_reduction, **overrides)
+    return _report(variant, config, geometry, mac_convention, bias, _BASELINE_MODULES + added)
 
 
 def compare_to_baseline(report: CostReport, baseline: CostReport) -> DeltaSummary:

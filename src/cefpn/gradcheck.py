@@ -60,13 +60,13 @@ def central_difference(loss_fn: Callable[[], float], leaf: Tensor,
 
 def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
                          samples: int | None = None, rng: np.random.Generator | None = None,
-                         step: float = DEFAULT_STEP, analytic_scale: float = 1.0) -> float:
+                         step: float = DEFAULT_STEP) -> float:
     """Max relative error between analytic and numeric gradients.
 
     ``loss_fn`` must rebuild the graph from the given leaf tensors on every
     call. When ``samples`` is given, that many scalar coordinates are drawn
     without replacement across all leaves; otherwise every coordinate is
-    checked. ``analytic_scale`` exists for negative-control fixtures.
+    checked.
     """
     for leaf in leaves:
         if leaf.dtype != np.float64:
@@ -90,7 +90,6 @@ def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
         leaf = leaves[which]
         idx = int(flat - bounds[which])
         analytic = 0.0 if leaf.grad is None else float(leaf.grad.flat[idx])
-        analytic *= analytic_scale
         numeric = central_difference(lambda: loss_fn().item(), leaf, idx, step)
         worst = max(worst, relative_error(analytic, numeric, floor))
     return worst
@@ -110,8 +109,7 @@ def _probe(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
     return Tensor(rng.uniform(0.5, 1.5, size=shape))
 
 
-def op_gradient_suite(seed: int = 0, step: float = DEFAULT_STEP,
-                      corrupt_op: str | None = None) -> dict[str, float]:
+def op_gradient_suite(seed: int = 0, step: float = DEFAULT_STEP) -> dict[str, float]:
     """Finite-difference check for each engine operation in isolation.
 
     Returns the worst relative error per op name. Losses project outputs
@@ -123,9 +121,7 @@ def op_gradient_suite(seed: int = 0, step: float = DEFAULT_STEP,
     def run(name: str, leaves: list[Tensor], out_fn: Callable[[], Tensor]) -> None:
         probe = _probe(rng, out_fn().shape)
         loss_fn = lambda: sum_all(mul(out_fn(), probe))
-        scale_factor = 1.5 if name == corrupt_op else 1.0
-        results[name] = check_loss_gradients(loss_fn, leaves, step=step,
-                                             analytic_scale=scale_factor)
+        results[name] = check_loss_gradients(loss_fn, leaves, step=step)
 
     x = _distinct(rng, (1, 3, 5, 5))
     spec1 = ConvSpec.seeded(rng, 3, 4, 1)

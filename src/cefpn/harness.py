@@ -14,8 +14,8 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .backbone import PATTERNS, check_geometry, synthetic_backbone
-from .cost import MAC_CONVENTIONS, cefpn_report, compare_to_baseline, fpn_baseline_report, \
-    variant_report
+from .cost import MAC_CONVENTIONS, VARIANTS, cefpn_report, compare_to_baseline, \
+    fpn_baseline_report, variant_report
 from .errors import ConfigError
 from .gradcheck import DEFAULT_THRESHOLD, end_to_end_gradcheck, linear_only_error, \
     op_gradient_suite
@@ -23,8 +23,6 @@ from .neck import NeckConfig, cefpn_forward, init_neck_params
 from .tensor import DTYPES
 
 SUITES = ("forward", "gradcheck", "cost", "all")
-
-COST_VARIANTS = ("ssf_a", "ssf_b", "ssf_c", "sce", "cag")
 
 
 @dataclass(frozen=True)
@@ -147,11 +145,11 @@ def run_forward(config: RunConfig) -> SuiteReport:
     return SuiteReport("forward", passed, document, "\n".join(lines) + "\n")
 
 
-def run_gradcheck(config: RunConfig, corrupt_op: str | None = None) -> SuiteReport:
+def run_gradcheck(config: RunConfig) -> SuiteReport:
     """Finite-difference suite: every engine op plus the end-to-end neck."""
     if config.precision != "float64":
         raise ConfigError("gradcheck requires float64 precision; rerun with precision=float64")
-    per_op = op_gradient_suite(seed=config.seed, corrupt_op=corrupt_op)
+    per_op = op_gradient_suite(seed=config.seed)
     per_op["linear_exact"] = linear_only_error(seed=config.seed)
     e2e = end_to_end_gradcheck(config.neck_config(), config.height, config.width,
                                config.batch, seed=config.seed)
@@ -188,7 +186,7 @@ def run_cost(config: RunConfig) -> SuiteReport:
     mac = config.mac_convention
     baseline = fpn_baseline_report(config.base_channel, geometry, mac)
     reports = [baseline]
-    for variant in COST_VARIANTS:
+    for variant in VARIANTS:
         reports.append(variant_report(variant, config.base_channel, geometry, mac,
                                       attention_reduction=config.attention_reduction))
     reports.append(cefpn_report(neck, geometry, mac))
@@ -204,7 +202,7 @@ def run_cost(config: RunConfig) -> SuiteReport:
     return SuiteReport("cost", True, document, text)
 
 
-def run_suites(config: RunConfig, corrupt_op: str | None = None) -> list[SuiteReport]:
+def run_suites(config: RunConfig) -> list[SuiteReport]:
     """The suites selected by ``config.suite``, in a fixed order."""
     wanted = ("forward", "gradcheck", "cost") if config.suite == "all" else (config.suite,)
     out = []
@@ -212,7 +210,7 @@ def run_suites(config: RunConfig, corrupt_op: str | None = None) -> list[SuiteRe
         if name == "forward":
             out.append(run_forward(config))
         elif name == "gradcheck":
-            out.append(run_gradcheck(config, corrupt_op=corrupt_op))
+            out.append(run_gradcheck(config))
         else:
             out.append(run_cost(config))
     return out

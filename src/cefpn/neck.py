@@ -19,7 +19,6 @@ stride-2 subsample of P4.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,9 +26,9 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .ops import ConvSpec, LinearSpec, conv2d, global_avg_pool, global_max_pool, \
-    interpolate_nearest, linear, max_pool2d
+    interpolate_nearest, linear, max_pool2d, uniform_init
 from .tensor import Tensor, _record, add, broadcast_spatial, channel_slice, \
-    mul_channelwise, relu, scale, sigmoid, squeeze_spatial
+    mul_channelwise, relu, scale, scope, sigmoid, squeeze_spatial
 
 STRIDES = (4, 8, 16, 32)
 SSF_SCHEMES = ("a", "b", "c")
@@ -208,24 +207,29 @@ def init_neck_params(config: NeckConfig, seed: int, dtype=np.float64,
     parameters records a graph: inference keeps only live activations.
     """
     rng = np.random.default_rng(seed)
+    return _build_params(
+        config, lambda shape, fan_in: uniform_init(rng, shape, fan_in, dtype, requires_grad), bias)
+
+
+def _build_params(config: NeckConfig, make, bias: bool) -> NeckParams:
+    """Every layer of the neck in allocation order, each tensor from
+    ``make(shape, fan_in)``."""
     c = config.base_channel
     back = config.backbone_channels()
-    opts = dict(bias=bias, dtype=dtype, requires_grad=requires_grad)
-    laterals = {i: ConvSpec.seeded(rng, back[i], c, 1, **opts) for i in config.levels}
-    post = {i: ConvSpec.seeded(rng, c, c, 3, **opts) for i in config.levels}
-    ssf_reduce = None
-    if config.ssf_scheme == "a":
-        ssf_reduce = ConvSpec.seeded(rng, 8 * c, 4 * c, 1, **opts)
-    sce_local = ConvSpec.seeded(rng, 8 * c, 4 * c, 3, **opts)
-    sce_wide = ConvSpec.seeded(rng, 8 * c, 16 * c, 1, **opts)
-    sce_squeeze = ConvSpec.seeded(rng, 8 * c, c, 1, **opts)
+
+    def conv(cin: int, cout: int, kernel: int) -> ConvSpec:
+        return ConvSpec._made(make, cin, cout, kernel, bias=bias)
+
+    def fc(fin: int, fout: int) -> LinearSpec:
+        return LinearSpec._made(make, fin, fout, bias=bias)
+
+    laterals = {i: conv(back[i], c, 1) for i in config.levels}
+    post = {i: conv(c, c, 3) for i in config.levels}
+    ssf_reduce = conv(8 * c, 4 * c, 1) if config.ssf_scheme == "a" else None
     hidden = c // config.attention_reduction
-    fc1_s = LinearSpec.seeded(rng, c, hidden, **opts)
-    fc1_e = LinearSpec.seeded(rng, hidden, c, **opts)
-    fc2_s = LinearSpec.seeded(rng, c, hidden, **opts)
-    fc2_e = LinearSpec.seeded(rng, hidden, c, **opts)
-    return NeckParams(laterals, post, ssf_reduce, sce_local, sce_wide, sce_squeeze,
-                      fc1_s, fc1_e, fc2_s, fc2_e)
+    return NeckParams(laterals, post, ssf_reduce,
+                      conv(8 * c, 4 * c, 3), conv(8 * c, 16 * c, 1), conv(8 * c, c, 1),
+                      fc(c, hidden), fc(hidden, c), fc(c, hidden), fc(hidden, c))
 
 
 @dataclass(frozen=True)
@@ -257,8 +261,9 @@ def ssf_fuse(c_hi: Tensor, f_lo: Tensor, scheme: str, params: NeckParams) -> Ten
 
     ``f_lo`` is the lateral at pyramid width c; ``c_hi`` is the backbone map
     one level up, carrying 4c or 8c channels at half the spatial extent.
-    A 4c source shuffles directly (the scheme flag is ignored); an 8c source
-    is first brought to 4c channels by the selected scheme:
+    A 4c source (C4 into F3) shuffles directly and the scheme flag is
+    ignored; an 8c source (C5 into F4) is first brought to 4c channels by
+    the selected scheme:
 
     * ``a`` 1x1 convolution 8c -> 4c (adds parameters);
     * ``b`` first 4c channels only (parameter free, drops half the source);
@@ -276,27 +281,39 @@ def ssf_fuse(c_hi: Tensor, f_lo: Tensor, scheme: str, params: NeckParams) -> Ten
             f"ssf target extent {f_lo.shape[2:]} must be exactly twice the source {c_hi.shape[2:]}")
 
     if src == 4 * c:
-        return add(f_lo, pixel_shuffle(c_hi, 2))
+        with scope("ssf.shuffle_C4"):
+            up = pixel_shuffle(c_hi, 2)
+        with scope("ssf.fuse_F3"):
+            return add(f_lo, up)
     if scheme == "a":
         if params.ssf_reduce is None:
             raise ConfigError("ssf scheme a needs the 8c -> 4c reduction layer, none was built")
-        return add(f_lo, pixel_shuffle(conv2d(c_hi, params.ssf_reduce), 2))
-    first = pixel_shuffle(channel_slice(c_hi, 0, 4 * c), 2)
-    if scheme == "b":
-        return add(f_lo, first)
-    second = pixel_shuffle(channel_slice(c_hi, 4 * c, 8 * c), 2)
-    return add(add(f_lo, first), second)
+        with scope("ssf.reduce_C5"):
+            reduced = conv2d(c_hi, params.ssf_reduce)
+        with scope("ssf.shuffle_C5"):
+            first = pixel_shuffle(reduced, 2)
+    elif scheme == "b":
+        with scope("ssf.shuffle_C5_half"):
+            first = pixel_shuffle(channel_slice(c_hi, 0, 4 * c), 2)
+    else:
+        with scope("ssf.shuffle_C5_lo"):
+            first = pixel_shuffle(channel_slice(c_hi, 0, 4 * c), 2)
+        with scope("ssf.shuffle_C5_hi"):
+            second = pixel_shuffle(channel_slice(c_hi, 4 * c, 8 * c), 2)
+    with scope("ssf.fuse_F4"):
+        fused = add(f_lo, first)
+        return add(fused, second) if scheme == "c" else fused
 
 
 def top_down_merge(features: dict[int, Tensor], params: NeckParams) -> dict[int, Tensor]:
     """Classic top-down pathway: accumulate by 2x nearest upsampling and
-    elementwise sum, then a 3x3 convolution per level."""
+    elementwise sum from the top level down, then a 3x3 convolution per
+    level, finest first."""
     if not features:
         raise ShapeError("top_down_merge: no levels given")
     levels = sorted(features, reverse=True)
     width = features[levels[0]].shape[1]
     merged: dict[int, Tensor] = {}
-    outputs: dict[int, Tensor] = {}
     prev: int | None = None
     for i in levels:
         f = features[i]
@@ -305,15 +322,20 @@ def top_down_merge(features: dict[int, Tensor], params: NeckParams) -> dict[int,
         if prev is None:
             merged[i] = f
         else:
-            up = interpolate_nearest(merged[prev], 2)
+            with scope(f"top_down.upsample_to_F{i}"):
+                up = interpolate_nearest(merged[prev], 2)
             if up.shape != f.shape:
                 raise ShapeError(
                     f"top_down_merge: level {i} shape {f.shape} does not sit 2x below level {prev}")
-            merged[i] = add(f, up)
+            with scope(f"top_down.add_F{i}"):
+                merged[i] = add(f, up)
+        prev = i
+    outputs: dict[int, Tensor] = {}
+    for i in reversed(levels):
         if i not in params.post_convs:
             raise ConfigError(f"top_down_merge: no 3x3 convolution for level {i}")
-        outputs[i] = conv2d(merged[i], params.post_convs[i])
-        prev = i
+        with scope(f"post_merge.P{i}"):
+            outputs[i] = conv2d(merged[i], params.post_convs[i])
     return outputs
 
 
@@ -331,12 +353,24 @@ def sce_forward(c5: Tensor, params: NeckParams) -> Tensor:
     n, _, h5, w5 = c5.shape
     if h5 % 2 != 0 or w5 % 2 != 0:
         raise ShapeError(f"sce: C5 extent {h5}x{w5} must be even")
-    local = pixel_shuffle(conv2d(c5, params.sce_local), 2)
-    pooled = max_pool2d(c5, kernel=3, stride=2, padding=1)
-    wide = pixel_shuffle(conv2d(pooled, params.sce_wide), 4)
-    squeezed = conv2d(global_avg_pool(c5), params.sce_squeeze)
-    ctx = broadcast_spatial(squeezed, 2 * h5, 2 * w5)
-    return add(add(local, wide), ctx)
+    with scope("sce.local_3x3"):
+        local = conv2d(c5, params.sce_local)
+    with scope("sce.local_shuffle"):
+        local = pixel_shuffle(local, 2)
+    with scope("sce.pool_3x3"):
+        pooled = max_pool2d(c5, kernel=3, stride=2, padding=1)
+    with scope("sce.wide_1x1"):
+        wide = conv2d(pooled, params.sce_wide)
+    with scope("sce.wide_shuffle"):
+        wide = pixel_shuffle(wide, 4)
+    with scope("sce.global_pool"):
+        pooled = global_avg_pool(c5)
+    with scope("sce.squeeze_1x1"):
+        squeezed = conv2d(pooled, params.sce_squeeze)
+    with scope("sce.broadcast"):
+        ctx = broadcast_spatial(squeezed, 2 * h5, 2 * w5)
+    with scope("sce.aggregate"):
+        return add(add(local, wide), ctx)
 
 
 def build_integration_map(p2: Tensor, p3: Tensor, p4: Tensor, sce_out: Tensor) -> Tensor:
@@ -345,8 +379,10 @@ def build_integration_map(p2: Tensor, p3: Tensor, p4: Tensor, sce_out: Tensor) -
     P2 and P3 are brought to P4's extent by 4x and 2x max pooling; coarser
     levels do not exist, so no interpolation branch is needed.
     """
-    down2 = max_pool2d(p2, kernel=4, stride=4)
-    down3 = max_pool2d(p3, kernel=2, stride=2)
+    with scope("integration.pool_P2"):
+        down2 = max_pool2d(p2, kernel=4, stride=4)
+    with scope("integration.pool_P3"):
+        down3 = max_pool2d(p3, kernel=2, stride=2)
     if down2.shape != p4.shape or down3.shape != p4.shape:
         raise ShapeError(
             f"integration: resized extents {down2.shape[2:]}, {down3.shape[2:]} "
@@ -354,8 +390,10 @@ def build_integration_map(p2: Tensor, p3: Tensor, p4: Tensor, sce_out: Tensor) -
     if sce_out.shape != p4.shape:
         raise ShapeError(
             f"integration: context map shape {sce_out.shape} does not match P4 {p4.shape}")
-    mean = scale(add(add(down2, down3), p4), 1.0 / 3.0)
-    return add(mean, sce_out)
+    with scope("integration.mean"):
+        mean = scale(add(add(down2, down3), p4), 1.0 / 3.0)
+    with scope("integration.add_context"):
+        return add(mean, sce_out)
 
 
 def cag_weights(integration: Tensor, params: NeckParams) -> Tensor:
@@ -370,24 +408,27 @@ def cag_weights(integration: Tensor, params: NeckParams) -> Tensor:
         raise ConfigError(
             f"cag: integration map has {integration.shape[1]} channels, "
             f"attention layers expect {c}")
-    avg = squeeze_spatial(global_avg_pool(integration))
-    mx = squeeze_spatial(global_max_pool(integration))
-    v1 = linear(relu(linear(avg, params.cag_fc1_squeeze)), params.cag_fc1_expand)
-    v2 = linear(relu(linear(mx, params.cag_fc2_squeeze)), params.cag_fc2_expand)
-    return sigmoid(add(v1, v2))
+    with scope("cag.avg_pool"):
+        avg = squeeze_spatial(global_avg_pool(integration))
+    with scope("cag.max_pool"):
+        mx = squeeze_spatial(global_max_pool(integration))
+    with scope("cag.fc1_squeeze"):
+        v1 = relu(linear(avg, params.cag_fc1_squeeze))
+    with scope("cag.fc1_expand"):
+        v1 = linear(v1, params.cag_fc1_expand)
+    with scope("cag.fc2_squeeze"):
+        v2 = relu(linear(mx, params.cag_fc2_squeeze))
+    with scope("cag.fc2_expand"):
+        v2 = linear(v2, params.cag_fc2_expand)
+    with scope("cag.merge"):
+        merged = add(v1, v2)
+    with scope("cag.sigmoid"):
+        return sigmoid(merged)
 
 
 def cag_apply(pyramid_level: Tensor, weights: Tensor) -> Tensor:
     """Scale every channel of one pyramid level by the shared weight vector."""
     return mul_channelwise(pyramid_level, weights)
-
-
-@contextmanager
-def _at(stage: str):
-    try:
-        yield
-    except (ShapeError, ConfigError) as e:
-        raise type(e)(f"{stage}: {e}") from e
 
 
 def _check_params(backbone: BackbonePyramid, params: NeckParams, config: NeckConfig) -> None:
@@ -409,38 +450,25 @@ def cefpn_forward(backbone: BackbonePyramid, params: NeckParams,
     """Full neck: laterals, skip fusion, top-down merge, context, attention.
 
     R5 comes from P5 when F5/P5 are kept, otherwise from a parameter-free
-    stride-2 subsample of P4 (kernel-1 max pool).
+    stride-2 subsample of P4 (kernel-1 max pool). Every op runs under the
+    module path of its cost-table row (``lateral.C4``, ``cag.apply_R2``).
     """
     _check_params(backbone, params, config)
     feats: dict[int, Tensor] = {}
-    with _at("level F2"):
-        feats[2] = conv2d(backbone.c2, params.laterals[2])
-    with _at("level F3"):
-        f3 = conv2d(backbone.c3, params.laterals[3])
-        feats[3] = ssf_fuse(backbone.c4, f3, config.ssf_scheme, params)
-    with _at("level F4"):
-        f4 = conv2d(backbone.c4, params.laterals[4])
-        feats[4] = ssf_fuse(backbone.c5, f4, config.ssf_scheme, params)
-    if config.include_f5_p5:
-        with _at("level F5"):
-            feats[5] = conv2d(backbone.c5, params.laterals[5])
-    with _at("top-down merge"):
-        pyramid = top_down_merge(feats, params)
-    with _at("context enhancement"):
-        context = sce_forward(backbone.c5, params)
-    with _at("integration map"):
-        integration = build_integration_map(pyramid[2], pyramid[3], pyramid[4], context)
-    with _at("attention weights"):
-        weights = cag_weights(integration, params)
-    with _at("level R5"):
-        if config.include_f5_p5:
-            top = pyramid[5]
-        else:
-            top = max_pool2d(pyramid[4], kernel=1, stride=2)
-        r5 = cag_apply(top, weights)
-    return PyramidOutputs(
-        r2=cag_apply(pyramid[2], weights),
-        r3=cag_apply(pyramid[3], weights),
-        r4=cag_apply(pyramid[4], weights),
-        r5=r5,
-    )
+    for i in config.levels:
+        with scope(f"lateral.C{i}"):
+            feats[i] = conv2d(backbone.level(i), params.laterals[i])
+    feats[3] = ssf_fuse(backbone.c4, feats[3], config.ssf_scheme, params)
+    feats[4] = ssf_fuse(backbone.c5, feats[4], config.ssf_scheme, params)
+    pyramid = top_down_merge(feats, params)
+    context = sce_forward(backbone.c5, params)
+    integration = build_integration_map(pyramid[2], pyramid[3], pyramid[4], context)
+    weights = cag_weights(integration, params)
+    if not config.include_f5_p5:
+        with scope("output.R5_subsample"):
+            pyramid[5] = max_pool2d(pyramid[4], kernel=1, stride=2)
+    out = {}
+    for i in (2, 3, 4, 5):
+        with scope(f"cag.apply_R{i}"):
+            out[i] = cag_apply(pyramid[i], weights)
+    return PyramidOutputs(r2=out[2], r3=out[3], r4=out[4], r5=out[5])

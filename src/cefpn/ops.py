@@ -77,12 +77,18 @@ class ConvSpec:
     def seeded(cls, rng: np.random.Generator, in_channels: int, out_channels: int,
                kernel: int, stride: int = 1, padding: int | None = None,
                bias: bool = True, dtype=np.float64, requires_grad: bool = True) -> "ConvSpec":
+        draw = lambda shape, fan_in: uniform_init(rng, shape, fan_in, dtype, requires_grad)
+        return cls._made(draw, in_channels, out_channels, kernel, stride, padding, bias)
+
+    @classmethod
+    def _made(cls, make, in_channels: int, out_channels: int, kernel: int, stride: int = 1,
+              padding: int | None = None, bias: bool = True) -> "ConvSpec":
+        """The layer with its weight, then its bias, from ``make(shape, fan_in)``."""
         if padding is None:
             padding = (kernel - 1) // 2
         fan_in = in_channels * kernel * kernel
-        weight = uniform_init(rng, (out_channels, in_channels, kernel, kernel), fan_in, dtype,
-                              requires_grad)
-        b = uniform_init(rng, (out_channels,), fan_in, dtype, requires_grad) if bias else None
+        weight = make((out_channels, in_channels, kernel, kernel), fan_in)
+        b = make((out_channels,), fan_in) if bias else None
         return cls(in_channels, out_channels, kernel, stride, padding, weight, b, bias)
 
     @property
@@ -114,8 +120,14 @@ class LinearSpec:
     @classmethod
     def seeded(cls, rng: np.random.Generator, in_features: int, out_features: int,
                bias: bool = True, dtype=np.float64, requires_grad: bool = True) -> "LinearSpec":
-        weight = uniform_init(rng, (out_features, in_features), in_features, dtype, requires_grad)
-        b = uniform_init(rng, (out_features,), in_features, dtype, requires_grad) if bias else None
+        draw = lambda shape, fan_in: uniform_init(rng, shape, fan_in, dtype, requires_grad)
+        return cls._made(draw, in_features, out_features, bias)
+
+    @classmethod
+    def _made(cls, make, in_features: int, out_features: int, bias: bool = True) -> "LinearSpec":
+        """The layer with its weight, then its bias, from ``make(shape, fan_in)``."""
+        weight = make((out_features, in_features), in_features)
+        b = make((out_features,), in_features) if bias else None
         return cls(in_features, out_features, weight, b, bias)
 
     @property

@@ -10,6 +10,11 @@ tensor; the op graph is recorded on the outputs so that ``backward`` can
 push gradients from a scalar loss to every leaf marked ``requires_grad``.
 An op none of whose inputs requires grad records nothing, so inference over
 such tensors holds no graph.
+
+Ops run inside a ``scope`` carry its module path (``sce.local_3x3``,
+``top_down.add_F3``): a shape or configuration error leaving the scope names
+the path, and a trace files every op under it. The cost tables are read off
+such a trace (see :mod:`cefpn.cost`).
 """
 
 from __future__ import annotations
@@ -18,9 +23,50 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError
 
 DTYPES = {"float64": np.float64, "float32": np.float32}
+
+
+# The module path of the ops now running, and the op list of the active trace.
+_scope: str | None = None
+_trace: list | None = None
+
+
+class scope:
+    """Run a block of ops under one module path, e.g. ``scope("lateral.C4")``.
+
+    A ``ShapeError`` or ``ConfigError`` leaving the block is re-raised with
+    the path as a prefix. Scopes nest; the innermost path names the ops.
+    """
+
+    __slots__ = ("path", "_outer")
+
+    def __init__(self, path: str):
+        self.path = path
+
+    def __enter__(self) -> None:
+        global _scope
+        self._outer, _scope = _scope, self.path
+
+    def __exit__(self, kind, err, tb) -> None:
+        global _scope
+        _scope = self._outer
+        if isinstance(err, (ShapeError, ConfigError)):
+            raise type(err)(f"{self.path}: {err}") from err
+
+
+def _traced(run: Callable[[], object]) -> list[tuple]:
+    """Call ``run()`` and return every op it recorded, in order, as
+    (module path, op name, output shape, parent shapes). An op recorded
+    outside any scope raises ``ContractError``: it would have no row."""
+    global _trace
+    _trace = []
+    try:
+        run()
+        return _trace
+    finally:
+        _trace = None
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -100,6 +146,10 @@ def _record(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...],
     """Wrap an op result without copying. The graph edge is kept only when
     some parent requires grad; otherwise the output stores no parents and no
     ``grad_fn``, so nothing the op saved for backward outlives the call."""
+    if _trace is not None:
+        if _scope is None:
+            raise ContractError(f"{op} ran outside any scope during a trace")
+        _trace.append((_scope, op, out_data.shape, tuple(p.shape for p in parents)))
     out = _wrap(out_data, any(p.requires_grad for p in parents), op)
     if out.requires_grad:
         out._parents = parents
@@ -142,7 +192,7 @@ class GradTape:
         return [n for n in self.nodes if not n._parents]
 
 
-def backward(loss: Tensor, tape: GradTape | None = None) -> None:
+def backward(loss: Tensor) -> None:
     """Fill ``.grad`` on every requires_grad tensor reachable from ``loss``.
 
     Gradients are overwritten, not accumulated across calls; within one call
@@ -151,18 +201,19 @@ def backward(loss: Tensor, tape: GradTape | None = None) -> None:
     Every stored gradient is read-only, because one buffer may be shared by
     several tensors (both parents of ``add`` receive the same array). Each
     ``grad_fn`` must return, per parent, ``None`` or an array of exactly that
-    parent's shape and dtype; anything else raises ``ContractError``.
+    parent's shape and dtype; anything else raises ``ContractError``, as does
+    a loss that does not require grad (no gradient could reach any tensor).
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
-    if tape is None:
-        tape = GradTape(loss)
-    elif tape.root is not loss:
-        raise ContractError("tape was recorded for a different loss node")
-    for node in tape.nodes:
+    if not loss.requires_grad:
+        raise ContractError("loss does not require grad: no tensor it was computed "
+                            "from has requires_grad=True")
+    nodes = _topo_order(loss)
+    for node in nodes:
         node.grad = None
     loss.grad = _freeze(np.ones_like(loss.data))
-    for node in reversed(tape.nodes):
+    for node in reversed(nodes):
         if node._grad_fn is None or node.grad is None:
             continue
         if not node.requires_grad:

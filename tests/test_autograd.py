@@ -32,8 +32,8 @@ def test_linear_layer_is_exact_to_roundoff():
     assert linear_only_error(seed=0) < 1e-8
 
 
-def test_corrupted_gradient_is_caught():
-    errors = op_gradient_suite(seed=0, corrupt_op="conv2d_3x3")
+def test_corrupted_gradient_is_caught(corrupt_conv3x3):
+    errors = op_gradient_suite(seed=0)
     assert errors["conv2d_3x3"] > DEFAULT_THRESHOLD
     assert errors["conv2d_1x1"] < DEFAULT_THRESHOLD
 

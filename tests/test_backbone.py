@@ -4,8 +4,8 @@ geometry rule every entry point shares."""
 import numpy as np
 import pytest
 
-from cefpn import ConfigError, NeckConfig, cefpn_report, count_flops, \
-    fpn_baseline_report, init_neck_params, synthetic_backbone, variant_report
+from cefpn import ConfigError, NeckConfig, cefpn_report, fpn_baseline_report, \
+    synthetic_backbone, variant_report
 from cefpn.backbone import level_shapes, ramp_level
 from cefpn.ops import _DRAW_CHUNK
 
@@ -30,7 +30,6 @@ GEOMETRY_PATHS = {
     "fpn_baseline_report": lambda h, w: fpn_baseline_report(16, (h, w)),
     "variant_report": lambda h, w: variant_report("sce", 16, (h, w), attention_reduction=4),
     "cefpn_report": lambda h, w: cefpn_report(DESK, (h, w)),
-    "count_flops": lambda h, w: count_flops(init_neck_params(DESK, 0), DESK, (h, w)),
 }
 
 

@@ -20,8 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cefpn.neck
+import cefpn.tensor
 from cefpn import ConfigError, ContractError, NeckConfig, cefpn_report, compare_to_baseline, \
-    count_flops, count_params, fpn_baseline_report, init_neck_params, variant_report
+    fpn_baseline_report, init_neck_params, scale, variant_report
 from cefpn.cost import KIND_ELEMENTWISE, KIND_MAC
 
 GEOM = (64, 64)
@@ -39,21 +41,41 @@ def desk_config(**kw):
     return NeckConfig(**base)
 
 
+def mac_rows(report):
+    return {e.layer: (e.module, e.params) for e in report.entries if e.kind == KIND_MAC}
+
+
+def allocated_layers(params):
+    return {name: (module, spec.param_count) for name, module, spec in params.named_layers()}
+
+
 class TestParamCounts:
     def test_counts_equal_allocated_scalars_desk(self):
         config = desk_config()
         params = init_neck_params(config, 0)
-        report = count_params(params, config)
+        report = cefpn_report(config, GEOM)
         assert report.total_params == params.scalar_count() == 117976
+
+    @pytest.mark.parametrize("scheme", ["a", "b", "c"])
+    @pytest.mark.parametrize("keep5", [False, True])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_mac_rows_are_the_allocated_layers(self, scheme, keep5, bias):
+        config = desk_config(ssf_scheme=scheme, include_f5_p5=keep5)
+        params = init_neck_params(config, 0, bias=bias)
+        report = cefpn_report(config, GEOM, bias=bias)
+        assert mac_rows(report) == allocated_layers(params)
+        assert report.total_params == params.scalar_count()
 
     @settings(max_examples=15, deadline=None)
     @given(st.sampled_from(["a", "b", "c"]), st.sampled_from([8, 16, 32]),
-           st.booleans())
-    def test_counts_equal_allocated_scalars_property(self, scheme, width, keep5):
+           st.booleans(), st.booleans())
+    def test_counts_equal_allocated_scalars_property(self, scheme, width, keep5, bias):
         config = NeckConfig(base_channel=width, ssf_scheme=scheme,
                             attention_reduction=4, include_f5_p5=keep5)
-        params = init_neck_params(config, 1)
-        assert count_params(params, config).total_params == params.scalar_count()
+        params = init_neck_params(config, 1, bias=bias)
+        report = cefpn_report(config, (128, 64), bias=bias)
+        assert mac_rows(report) == allocated_layers(params)
+        assert report.total_params == params.scalar_count()
 
     def test_subtotals_sum_to_entries(self):
         report = cefpn_report(ref_config(), GEOM)
@@ -66,9 +88,7 @@ class TestParamCounts:
         assert a.total_params == b.total_params
 
     def test_scheme_a_reduction_layer_count(self):
-        config = ref_config(ssf_scheme="a")
-        params = init_neck_params(config, 0)
-        report = count_params(params, config)
+        report = cefpn_report(ref_config(ssf_scheme="a"), GEOM)
         by_name = {e.layer: e.params for e in report.entries}
         assert by_name["ssf.reduce_C5"] == 2098176
 
@@ -199,22 +219,49 @@ class TestFlops:
         # attention product on R2: c * (64/4)^2
         assert by_name["cag.apply_R2"].flops == 16 * 16 * 16
 
-    def test_count_flops_requires_aligned_geometry(self):
-        config = desk_config()
-        params = init_neck_params(config, 0)
-        with pytest.raises(ConfigError):
-            count_flops(params, config, (60, 64))
-
-    def test_count_flops_totals_match_report(self):
-        config = desk_config()
-        params = init_neck_params(config, 0)
-        report = count_flops(params, config, GEOM)
-        assert report.total_params == params.scalar_count()
-        assert report.total_flops == cefpn_report(config, GEOM).total_flops
-
     def test_bad_mac_convention_rejected(self):
         with pytest.raises(ConfigError):
             fpn_baseline_report(256, GEOM, mac_convention=3)
+
+    def test_baseline_rows_in_module_then_execution_order(self):
+        # top_down lists its rows as the merge runs them, top level first
+        report = fpn_baseline_report(16, GEOM)
+        assert [e.layer for e in report.entries] == [
+            "lateral.C2", "lateral.C3", "lateral.C4", "lateral.C5",
+            "top_down.upsample_to_F4", "top_down.add_F4", "top_down.upsample_to_F3",
+            "top_down.add_F3", "top_down.upsample_to_F2", "top_down.add_F2",
+            "post_merge.P2", "post_merge.P3", "post_merge.P4", "post_merge.P5"]
+
+
+class TestTrace:
+    @pytest.mark.parametrize("build", [
+        lambda: fpn_baseline_report(6, GEOM),
+        lambda: variant_report("ssf_c", 16, GEOM),
+        lambda: variant_report("cag", 16, GEOM, attention_reduction=5),
+    ])
+    def test_rejects_what_the_neck_rejects(self, build):
+        with pytest.raises(ConfigError):
+            build()
+
+    def test_unscoped_charged_op_fails_the_table(self, monkeypatch):
+        real = cefpn.neck.build_integration_map
+        monkeypatch.setattr(cefpn.neck, "build_integration_map",
+                            lambda *maps: scale(real(*maps), 1.0))
+        with pytest.raises(ContractError, match="scale ran outside any scope"):
+            cefpn_report(desk_config(), GEOM)
+        assert cefpn.tensor._trace is None
+        monkeypatch.undo()
+        assert cefpn_report(desk_config(), GEOM).total_params == 117976
+
+    def test_trace_allocates_no_parameters(self):
+        import tracemalloc
+        tracemalloc.start()
+        try:
+            cefpn_report(ref_config(), (1024, 1024))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # the width-256 parameters alone are 245 MiB in float64
 
 
 class TestReportShape:

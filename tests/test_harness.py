@@ -11,6 +11,7 @@ from cefpn import ConfigError, ConvSpec, NeckParams, RunConfig, Tensor, cefpn_fo
     init_neck_params, run_cost, run_forward, run_gradcheck, synthetic_backbone
 from cefpn.backbone import ramp_level
 from cefpn.cli import main
+from cefpn.gradcheck import DEFAULT_THRESHOLD
 from cefpn.harness import _level_stats
 import cefpn.harness
 import cefpn.neck
@@ -178,8 +179,8 @@ class TestRunGradcheck:
     def test_nan_error_fails_and_stays_valid_json(self, monkeypatch):
         real_suite = cefpn.harness.op_gradient_suite
 
-        def nan_for_one_op(seed, corrupt_op=None):
-            errors = real_suite(seed=seed, corrupt_op=corrupt_op)
+        def nan_for_one_op(seed):
+            errors = real_suite(seed=seed)
             errors[list(errors)[-1]] = float("nan")  # max() skips a NaN unless it comes first
             return errors
 
@@ -190,9 +191,11 @@ class TestRunGradcheck:
         assert doc["passed"] is False
         assert None in doc["ops"].values()
 
-    def test_corrupted_gradient_fails(self):
-        report = run_gradcheck(RunConfig(seed=0), corrupt_op="conv2d_3x3")
+    def test_corrupted_gradient_fails(self, corrupt_conv3x3):
+        report = run_gradcheck(RunConfig(seed=0))
         assert not report.passed
+        assert report.document["ops"]["conv2d_3x3"] > DEFAULT_THRESHOLD
+        assert report.document["ops"]["conv2d_1x1"] < DEFAULT_THRESHOLD
 
 
 class TestRunCost:
@@ -287,9 +290,8 @@ class TestCli:
         assert code == 2
         assert "float64" in captured.err
 
-    def test_corrupted_gradient_nonzero_exit(self, tmp_path, capsys):
-        code = main(["--suite", "gradcheck", "--out", str(tmp_path / "g"),
-                     "--corrupt-gradient", "conv2d_3x3"])
+    def test_corrupted_gradient_nonzero_exit(self, tmp_path, capsys, corrupt_conv3x3):
+        code = main(["--suite", "gradcheck", "--out", str(tmp_path / "g")])
         captured = capsys.readouterr()
         assert code == 1
         assert "gradcheck" in captured.err

@@ -378,7 +378,7 @@ class TestCefpnForward:
             cag_fc1_squeeze=params.cag_fc1_squeeze, cag_fc1_expand=params.cag_fc1_expand,
             cag_fc2_squeeze=params.cag_fc2_squeeze, cag_fc2_expand=params.cag_fc2_expand,
         )
-        with pytest.raises(ConfigError, match="level F4"):
+        with pytest.raises(ConfigError, match="lateral.C4: conv2d"):
             cefpn_forward(pyramid, broken, config)
 
     def test_backbone_width_mismatch_rejected(self):
@@ -421,7 +421,7 @@ class TestCefpnForward:
         for node in tape.nodes:
             if node._grad_fn is not None:
                 node._grad_fn = read_only(node._grad_fn)
-        backward(loss, tape)
+        backward(loss)
         assert arrived_writeable and not any(arrived_writeable)
         for name, tensor in params.named_parameters():
             assert not tensor.grad.flags.writeable, name

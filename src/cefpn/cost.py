@@ -96,6 +96,7 @@ class CostReport:
 
     def to_dict(self) -> dict:
         convention = {"mac": self.mac_convention, "bias": self.bias_enabled}
+        flops = self.module_flops()
         return {
             "name": self.name,
             "base_channel": self.base_channel,
@@ -108,7 +109,7 @@ class CostReport:
             ],
             "totals": {"params": self.total_params, "flops": self.total_flops},
             "module_totals": {
-                m: {"params": p, "flops": self.module_flops()[m]}
+                m: {"params": p, "flops": flops[m]}
                 for m, p in self.module_params().items()
             },
         }

@@ -2,6 +2,10 @@
 
 The numeric side never touches the backward implementations: it re-runs the
 forward pass with one scalar nudged by +/-h and differences the losses.
+One analytic forward keeps the graph for ``backward``; for the numeric
+forwards every checked leaf has ``requires_grad`` switched off (and restored
+afterwards), so they record no graph and keep nothing for a backward pass.
+Their values are bit for bit those of the graph forward.
 Double precision is required; with h = 1e-6 the truncation and roundoff
 floors sit far below the 1e-4 acceptance threshold.
 """
@@ -66,7 +70,9 @@ def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
     ``loss_fn`` must rebuild the graph from the given leaf tensors on every
     call. When ``samples`` is given, that many scalar coordinates are drawn
     without replacement across all leaves; otherwise every coordinate is
-    checked.
+    checked. The numeric forwards run with every leaf's ``requires_grad``
+    off, so they build no graph; each leaf's flag is restored on return,
+    also when ``loss_fn`` raises.
     """
     for leaf in leaves:
         if leaf.dtype != np.float64:
@@ -85,13 +91,20 @@ def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
         picks.sort()
     bounds = np.cumsum([0] + sizes)
     worst = 0.0
-    for flat in picks:
-        which = int(np.searchsorted(bounds, flat, side="right") - 1)
-        leaf = leaves[which]
-        idx = int(flat - bounds[which])
-        analytic = 0.0 if leaf.grad is None else float(leaf.grad.flat[idx])
-        numeric = central_difference(lambda: loss_fn().item(), leaf, idx, step)
-        worst = max(worst, relative_error(analytic, numeric, floor))
+    flags = [leaf.requires_grad for leaf in leaves]
+    for leaf in leaves:
+        leaf.requires_grad = False
+    try:
+        for flat in picks:
+            which = int(np.searchsorted(bounds, flat, side="right") - 1)
+            leaf = leaves[which]
+            idx = int(flat - bounds[which])
+            analytic = 0.0 if leaf.grad is None else float(leaf.grad.flat[idx])
+            numeric = central_difference(lambda: loss_fn().item(), leaf, idx, step)
+            worst = max(worst, relative_error(analytic, numeric, floor))
+    finally:
+        for leaf, flag in zip(leaves, flags):
+            leaf.requires_grad = flag
     return worst
 
 

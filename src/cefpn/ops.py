@@ -1,6 +1,8 @@
 """Convolution, pooling, interpolation, and fully connected layers.
 
 Output extents follow floor((extent + 2*padding - kernel) / stride) + 1.
+Padded inputs (zeros for convolution, -inf for max pooling) come from
+``_pad``, which fills one ``np.empty`` buffer by slice assignment.
 Convolution is im2col plus one weight-major GEMM per direction: forward
 ``W @ cols``, weight gradient ``g @ cols^T`` summed over the batch, input
 gradient ``W^T @ g`` folded back by col2im (k^2 strided adds), computed only
@@ -139,6 +141,20 @@ class LinearSpec:
         return [self.weight] + ([self.bias] if self.bias_enabled else [])
 
 
+def _pad(a: np.ndarray, p: int, fill: float = 0.0) -> np.ndarray:
+    """``np.pad(a, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=fill)``
+    for an (n, c, h, w) array, bit for bit: one ``np.empty`` buffer whose
+    border and interior are written by slice assignment."""
+    n, c, h, w = a.shape
+    out = np.empty((n, c, h + 2 * p, w + 2 * p), dtype=a.dtype)
+    out[:, :, :p] = fill
+    out[:, :, h + p:] = fill
+    out[:, :, p:h + p, :p] = fill
+    out[:, :, p:h + p, w + p:] = fill
+    out[:, :, p:h + p, p:w + p] = a
+    return out
+
+
 def _gather_windows(padded: np.ndarray, kernel: int, stride: int,
                     oh: int, ow: int) -> np.ndarray:
     """(n, c, H, W) padded input -> (n, c, k, k, oh, ow) window stack."""
@@ -179,7 +195,7 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     if pointwise:
         cols = x.data.reshape(n, c, h * w)
     else:
-        padded = np.pad(x.data, ((0, 0), (0, 0), (p, p), (p, p))) if p else x.data
+        padded = _pad(x.data, p) if p else x.data
         cols = _gather_windows(padded, k, s, oh, ow).reshape(n, ckk, oh * ow)
     out = weight.data.reshape(o, ckk) @ cols  # (n, o, oh*ow)
     if spec.bias_enabled:
@@ -227,10 +243,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
         raise ShapeError(
             f"max_pool2d: window {kernel}x{kernel} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
 
-    padded = x.data
-    if padding:
-        padded = np.pad(padded, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
-                        constant_values=NEG_INF)
+    padded = _pad(x.data, padding, NEG_INF) if padding else x.data
     taps = [padded[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride]
             for ky in range(kernel) for kx in range(kernel)]
     out = taps[0].copy()

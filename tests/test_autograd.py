@@ -6,7 +6,7 @@ import pytest
 from cefpn import ConfigError, Tensor
 from cefpn.gradcheck import DEFAULT_THRESHOLD, check_loss_gradients, linear_only_error, \
     op_gradient_suite
-from cefpn.tensor import add, mul, sum_all
+from cefpn.tensor import add, mul, relu, sum_all
 
 EXPECTED_OPS = {
     "conv2d_1x1", "conv2d_3x3", "conv2d_3x3_stride2", "max_pool2d",
@@ -49,3 +49,48 @@ def test_shared_leaf_through_two_paths():
     x = Tensor(rng.uniform(-1, 1, (1, 2, 3, 3)), requires_grad=True)
     loss_fn = lambda: add(sum_all(mul(x, x)), sum_all(x))
     assert check_loss_gradients(loss_fn, [x]) < DEFAULT_THRESHOLD
+
+
+def test_numeric_forwards_build_no_graph():
+    rng = np.random.default_rng(2)
+    x = Tensor(rng.uniform(-1, 1, (1, 2, 3, 3)), requires_grad=True)
+    w = Tensor(rng.uniform(-1, 1, (1, 2, 3, 3)), requires_grad=True)
+    losses = []
+
+    def loss_fn():
+        losses.append(sum_all(mul(relu(x), w)))
+        return losses[-1]
+
+    assert check_loss_gradients(loss_fn, [x, w], samples=5) < DEFAULT_THRESHOLD
+    analytic, numeric = losses[0], losses[1:]
+    assert analytic.requires_grad and analytic._parents != ()
+    assert len(numeric) == 2 * 5
+    for loss in numeric:
+        assert loss._parents == () and not loss.requires_grad
+
+
+def test_leaf_flags_are_restored():
+    rng = np.random.default_rng(3)
+    x = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    frozen = Tensor(rng.uniform(-1, 1, (2, 3)))
+    check_loss_gradients(lambda: sum_all(mul(x, frozen)), [x, frozen])
+    assert x.requires_grad and not frozen.requires_grad
+
+
+def test_leaf_flags_are_restored_when_loss_fn_raises():
+    rng = np.random.default_rng(4)
+    x = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    frozen = Tensor(rng.uniform(-1, 1, (2, 3)))
+    before = x.data.copy()
+    calls = []
+
+    def loss_fn():
+        calls.append(None)
+        if len(calls) == 4:  # inside the numeric loop, past its first coordinate
+            raise RuntimeError("forward failed")
+        return sum_all(mul(x, frozen))
+
+    with pytest.raises(RuntimeError, match="forward failed"):
+        check_loss_gradients(loss_fn, [x, frozen])
+    assert x.requires_grad and not frozen.requires_grad
+    assert np.array_equal(x.data, before)

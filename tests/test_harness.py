@@ -50,6 +50,18 @@ def test_forward_json_is_byte_identical_to_stored(argv, capsys):
     assert capsys.readouterr().out == FORWARD_GOLDEN[argv]
 
 
+# `cefpn --suite gradcheck` stdout at desk scale, stored byte for byte while
+# every numeric forward still recorded a full graph. The graph-free numeric
+# forwards must reproduce these bytes exactly: same coordinates, same errors.
+GRADCHECK_GOLDEN = json.loads((Path(__file__).parent / "gradcheck_desk_golden.json").read_text())
+
+
+@pytest.mark.parametrize("argv", sorted(GRADCHECK_GOLDEN))
+def test_gradcheck_json_is_byte_identical_to_stored(argv, capsys):
+    assert main(argv.split()) == 0
+    assert capsys.readouterr().out == GRADCHECK_GOLDEN[argv]
+
+
 class TestRunConfig:
     def test_defaults_are_desk_scale(self):
         cfg = RunConfig()

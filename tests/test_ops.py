@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cefpn import ConfigError, ConvSpec, LinearSpec, ShapeError, Tensor, backward, conv2d, \
     global_avg_pool, global_max_pool, interpolate_nearest, linear, max_pool2d, mul, sum_all
+from cefpn.ops import _pad
 from oracles import conv2d_grad_loops, conv2d_loops, global_avg_loops, global_max_loops, \
     interp_nearest_grad_loops, interp_nearest_loops, linear_loops, max_pool_grad_loops, \
     max_pool_loops
@@ -316,3 +317,16 @@ class TestParamCounts:
     def test_linear_param_count(self):
         spec = LinearSpec(6, 4, Tensor(np.zeros((4, 6))), Tensor(np.zeros(4)), True)
         assert spec.param_count == 24 + 4
+
+
+class TestPad:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.integers(1, 2), st.integers(1, 2),
+           st.integers(1, 5), st.integers(1, 5), st.sampled_from([0.0, -np.inf]),
+           st.sampled_from([np.float32, np.float64]))
+    def test_matches_np_pad_bit_for_bit(self, seed, n, c, p, h, w, fill, dtype):
+        a = np.random.default_rng(seed).uniform(-1, 1, (n, c, h, w)).astype(dtype)
+        got = _pad(a, p, fill)
+        expect = np.pad(a, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=fill)
+        assert got.dtype == expect.dtype and got.shape == expect.shape
+        assert got.tobytes() == expect.tobytes()

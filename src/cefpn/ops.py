@@ -1,11 +1,15 @@
 """Convolution, pooling, interpolation, and fully connected layers.
 
 Output extents follow floor((extent + 2*padding - kernel) / stride) + 1.
-Padded inputs (zeros for convolution, -inf for max pooling) come from
-``_pad``, which fills one ``np.empty`` buffer by slice assignment.
-Convolution is im2col plus one weight-major GEMM per direction: forward
-``W @ cols``, weight gradient ``g @ cols^T`` summed over the batch, input
-gradient ``W^T @ g`` folded back by col2im (k^2 strided adds), computed only
+Padded inputs of im2col convolutions (zeros) and max pooling (-inf) come
+from ``_pad``, which fills one ``np.empty`` buffer by slice assignment.
+A 3x3, stride-1, padding-1 convolution whose output channels are below
+n*oh*ow (so its tap-major weight copy is smaller than im2col's ``cols``) runs
+as nine shifted GEMMs over the flat padded input, with no im2col copy (see
+``_conv3x3_shifted``). Every other convolution is im2col plus one
+weight-major GEMM per direction: forward ``W @ cols``, weight gradient
+``g @ cols^T`` summed over the batch, input gradient ``W^T @ g`` folded back
+by col2im (k^2 strided adds). Either way the input gradient is computed only
 when the input requires a gradient.
 All layers carry bias by default with a per-layer disable flag. Backward
 passes route max-pool gradients to the first maximal element in row-major
@@ -170,9 +174,13 @@ def _gather_windows(padded: np.ndarray, kernel: int, stride: int,
 def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     """Zero-padded 2-d convolution of an (n, c, h, w) tensor.
 
-    Forward is one weight-major GEMM on the im2col layout:
+    A 3x3 kernel at stride 1 and padding 1 with fewer output channels than
+    n*oh*ow runs as nine shifted GEMMs (``_conv3x3_shifted``). Otherwise the
+    forward is one weight-major GEMM on the im2col layout:
     ``W.reshape(o, c*k*k) @ cols`` with cols of shape (n, c*k*k, oh*ow). A 1x1
-    kernel at stride 1 without padding uses the input itself as cols.
+    kernel at stride 1 without padding uses the input itself as cols. A
+    batch-0 cost trace (n*oh*ow = 0) never takes the shifted path, whose
+    tap-major copy would allocate the trace's zero-stride placeholder weight.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"conv2d: input must be 4-d, got shape {x.shape}")
@@ -190,6 +198,8 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     weight, bias = spec.weight, spec.bias
     parents = (x, weight) + ((bias,) if spec.bias_enabled else ())
     o, ckk = spec.out_channels, c * k * k
+    if k == 3 and s == 1 and p == 1 and o < n * oh * ow:
+        return _conv3x3_shifted(x, spec, parents)
     pointwise = k == 1 and s == 1 and p == 0
 
     if pointwise:
@@ -224,6 +234,70 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
         return tuple(grads)
 
     return _record("conv2d", out.reshape(n, o, oh, ow), parents, grad_fn)
+
+
+def _tap_major(weight: np.ndarray) -> np.ndarray:
+    """(o, c, 3, 3) weight -> contiguous (9, o, c): ``W[:, :, ky, kx]`` has
+    inner stride 9, which BLAS cannot read in place."""
+    o, c = weight.shape[0], weight.shape[1]
+    return np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(9, o, c)
+
+
+def _conv3x3_shifted(x: Tensor, spec: ConvSpec, parents: tuple[Tensor, ...]) -> Tensor:
+    """3x3, stride-1, padding-1 convolution as 9 shifted GEMMs, no im2col.
+
+    The input is zero-padded by one row above, two below and one column on
+    each side, and each padded plane is viewed flat at width ``w + 2``. Tap
+    (ky, kx) of output position (y, x) reads flat index ``j + off`` with
+    ``j = y*(w+2) + x`` and ``off = ky*(w+2) + kx``, so each tap is the
+    contiguous column slice ``xp[..., off:off + h*(w+2)]``; the extra bottom
+    row keeps the last tap inside the plane. Positions with ``x >= w`` are
+    junk: the forward crops them and the backward lays the upstream gradient
+    out with zeros there. The graph keeps the padded input (~1.1x the input)
+    instead of a 9x ``cols``.
+    """
+    n, c, h, w = x.shape
+    o, wp = spec.out_channels, w + 2
+    m = h * wp
+    offsets = [ky * wp + kx for ky in range(3) for kx in range(3)]
+    xp = np.zeros((n, c, h + 3, wp), dtype=x.dtype)
+    xp[:, :, 1:h + 1, 1:w + 1] = x.data
+    xp = xp.reshape(n, c, (h + 3) * wp)
+    taps = _tap_major(spec.weight.data)
+
+    acc = np.matmul(taps[0], xp[:, :, :m])  # (n, o, h*(w+2))
+    prod = np.empty_like(acc)
+    for t in range(1, 9):
+        np.matmul(taps[t], xp[:, :, offsets[t]:offsets[t] + m], out=prod)
+        acc += prod
+    del taps, prod  # freed before the crop copy
+    out = acc.reshape(n, o, h, wp)[:, :, :, :w]
+    out = out + spec.bias.data.reshape(1, o, 1, 1) if spec.bias_enabled else out.copy()
+
+    def grad_fn(g: np.ndarray):
+        gp = np.zeros((n, o, h, wp), dtype=g.dtype)
+        gp[:, :, :, :w] = g
+        gp = gp.reshape(n, o, m)
+        gw = np.empty((9, o, c), dtype=g.dtype)
+        for t, off in enumerate(offsets):
+            np.matmul(gp[0], xp[0, :, off:off + m].T, out=gw[t])
+            for i in range(1, n):
+                gw[t] += gp[i] @ xp[i, :, off:off + m].T
+        gx = None
+        if x.requires_grad:  # read at backward time, like backward's own filter
+            taps = _tap_major(spec.weight.data)
+            gxp = np.zeros((n, c, (h + 3) * wp), dtype=g.dtype)
+            prod = np.empty((n, c, m), dtype=g.dtype)
+            for t, off in enumerate(offsets):
+                np.matmul(taps[t].T, gp, out=prod)
+                gxp[:, :, off:off + m] += prod
+            gx = np.ascontiguousarray(gxp.reshape(n, c, h + 3, wp)[:, :, 1:h + 1, 1:w + 1])
+        grads = [gx, np.ascontiguousarray(gw.reshape(3, 3, o, c).transpose(2, 3, 0, 1))]
+        if spec.bias_enabled:
+            grads.append(g.sum(axis=(0, 2, 3)))
+        return tuple(grads)
+
+    return _record("conv2d", out, parents, grad_fn)
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:

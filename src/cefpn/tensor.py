@@ -70,7 +70,11 @@ def _traced(run: Callable[[], object]) -> list[tuple]:
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    """``np.ascontiguousarray(a)``, read-only. The call, which copies a
+    non-contiguous array and lifts rank 0 to shape (1,), is skipped when it
+    would return ``a`` itself."""
+    if a.ndim == 0 or not a.flags.c_contiguous:
+        a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
 
@@ -150,8 +154,13 @@ def _record(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...],
         if _scope is None:
             raise ContractError(f"{op} ran outside any scope during a trace")
         _trace.append((_scope, op, out_data.shape, tuple(p.shape for p in parents)))
-    out = _wrap(out_data, any(p.requires_grad for p in parents), op)
-    if out.requires_grad:
+    requires_grad = False
+    for p in parents:
+        if p.requires_grad:
+            requires_grad = True
+            break
+    out = _wrap(out_data, requires_grad, op)
+    if requires_grad:
         out._parents = parents
         out._grad_fn = grad_fn
     return out

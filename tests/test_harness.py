@@ -39,8 +39,9 @@ def poison_level(monkeypatch, level, values):
 
 
 # `cefpn --suite forward` stdout at desk scale, stored byte for byte from the
-# forward suite as it ran with every parameter requiring grad. The graph-free
-# suite must reproduce these bytes exactly.
+# graph-free forward suite once stride-1 3x3 convs ran as shifted GEMMs (the
+# re-store moved no level by more than 1e-15 of its largest magnitude in
+# float64, 1e-6 in float32). Any later change must reproduce these bytes.
 FORWARD_GOLDEN = json.loads((Path(__file__).parent / "forward_desk_golden.json").read_text())
 
 
@@ -50,9 +51,9 @@ def test_forward_json_is_byte_identical_to_stored(argv, capsys):
     assert capsys.readouterr().out == FORWARD_GOLDEN[argv]
 
 
-# `cefpn --suite gradcheck` stdout at desk scale, stored byte for byte while
-# every numeric forward still recorded a full graph. The graph-free numeric
-# forwards must reproduce these bytes exactly: same coordinates, same errors.
+# `cefpn --suite gradcheck` stdout at desk scale, stored byte for byte from
+# the graph-free numeric forwards once stride-1 3x3 convs ran as shifted GEMMs.
+# Any later change must reproduce these bytes: same coordinates, same errors.
 GRADCHECK_GOLDEN = json.loads((Path(__file__).parent / "gradcheck_desk_golden.json").read_text())
 
 

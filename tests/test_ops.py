@@ -1,6 +1,8 @@
 """Convolution, pooling, interpolation, and linear layers against their
 nested-loop reference implementations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 
 from cefpn import ConfigError, ConvSpec, LinearSpec, ShapeError, Tensor, backward, conv2d, \
     global_avg_pool, global_max_pool, interpolate_nearest, linear, max_pool2d, mul, sum_all
+from cefpn import ops
 from cefpn.ops import _pad
 from oracles import conv2d_grad_loops, conv2d_loops, global_avg_loops, global_max_loops, \
     interp_nearest_grad_loops, interp_nearest_loops, linear_loops, max_pool_grad_loops, \
@@ -137,6 +140,77 @@ class TestConv2d:
         _, gw, gb = conv2d_grad_loops(xd, wd, upstream, stride, pad)
         np.testing.assert_allclose(weight.grad, gw, atol=1e-12)
         np.testing.assert_allclose(bias.grad, gb, atol=1e-12)
+
+
+class TestConv3x3Shifted:
+    """3x3, stride-1, padding-1 convs whose output channels are below n*h*w
+    run as nine shifted GEMMs over the flat padded input, with no im2col."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 3), st.integers(1, 8),
+           st.integers(1, 6), st.integers(1, 6), st.booleans(), st.booleans(),
+           st.sampled_from([np.float32, np.float64]))
+    @example(0, 1, 2, 3, 1, 1, True, True, np.float64)  # 1x1 extent: o > n*h*w, im2col
+    @example(1, 2, 2, 3, 1, 2, True, True, np.float64)  # 1x2 extent: o < n*h*w, shifted
+    @example(2, 1, 3, 2, 2, 1, False, True, np.float32)  # o == n*h*w: im2col
+    def test_matches_loop_oracle_and_skips_im2col(self, seed, n, cin, cout, h, w, with_bias,
+                                                  x_requires_grad, dtype):
+        rng = np.random.default_rng(seed)
+        xd = rng.uniform(-1, 1, (n, cin, h, w)).astype(dtype)
+        wd = rng.uniform(-1, 1, (cout, cin, 3, 3)).astype(dtype)
+        bd = rng.uniform(-1, 1, (cout,)).astype(dtype) if with_bias else None
+        upstream = rng.uniform(-1, 1, (n, cout, h, w)).astype(dtype)
+        shifted = cout < n * h * w
+        x = Tensor(xd, requires_grad=x_requires_grad)
+        weight = Tensor(wd, requires_grad=True)
+        bias = Tensor(bd, requires_grad=True) if with_bias else None
+        spec = ConvSpec(cin, cout, 3, 1, 1, weight, bias, with_bias)
+
+        gathers = []
+
+        def gather(*args):
+            if shifted:
+                raise AssertionError("im2col ran for a shifted-GEMM conv")
+            gathers.append(1)
+            return real_gather(*args)
+
+        real_gather = ops._gather_windows
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ops, "_gather_windows", gather)
+            out = conv2d(x, spec)
+            backward(sum_all(mul(out, Tensor(upstream))))
+        assert len(gathers) == (0 if shifted else 1)
+
+        # the oracles run in float64 on the same (possibly float32) values
+        f64 = lambda a: None if a is None else a.astype(np.float64)
+        expect = conv2d_loops(f64(xd), f64(wd), f64(bd), 1, 1)
+        gx, gw, gb = conv2d_grad_loops(f64(xd), f64(wd), f64(upstream), 1, 1)
+        atol = 1e-12 if dtype == np.float64 else 1e-5
+        assert out.dtype == dtype
+        np.testing.assert_allclose(out.data, expect, atol=atol)
+        np.testing.assert_allclose(weight.grad, gw, atol=atol)
+        if with_bias:
+            np.testing.assert_allclose(bias.grad, gb, atol=atol)
+        if x_requires_grad:
+            np.testing.assert_allclose(x.grad, gx, atol=atol)
+        else:
+            assert x.grad is None
+            assert out._grad_fn(upstream)[0] is None
+
+    def test_graph_keeps_the_padded_input_not_cols(self):
+        # P2-like layer: the 9x cols would be 9 MiB, the padded input ~1.06 MiB
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.uniform(-1, 1, (1, 32, 64, 64)), requires_grad=True)
+        spec = ConvSpec.seeded(rng, 32, 32, 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = conv2d(x, spec)
+            retained = tracemalloc.get_traced_memory()[0] - before - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert out._grad_fn is not None
+        assert retained <= 1.25 * (32 * 66 * 66 * 8)
 
 
 class TestMaxPool:

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from cefpn import GradTape, ShapeError, Tensor, add, backward, broadcast_spatial, \
     channel_slice, mul, mul_channelwise, relu, scale, sigmoid, squeeze_spatial, sum_all
+from cefpn.tensor import _freeze
 
 
 def rand(shape, seed=0, requires_grad=False):
@@ -33,6 +34,17 @@ class TestLayout:
         assert t.data.flags.c_contiguous
         with pytest.raises(ValueError):
             t.data[0, 0, 0, 0] = 1.0
+
+    def test_freeze_copies_a_noncontiguous_view(self):
+        base = np.arange(24.0).reshape(4, 6)
+        view = base[:, ::2]
+        frozen = _freeze(view)
+        assert frozen.flags.c_contiguous and not frozen.flags.writeable
+        assert np.array_equal(frozen, view) and not np.shares_memory(frozen, base)
+        assert base.flags.writeable
+        fresh = np.ones((2, 3))
+        assert _freeze(fresh) is fresh and not fresh.flags.writeable
+        assert _freeze(np.asarray(2.5)).shape == (1,)
 
     def test_constructor_copies_input(self):
         src = np.zeros((1, 1, 2, 2))

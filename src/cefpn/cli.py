@@ -14,6 +14,7 @@ suite passed, 1 on suite failure, 2 on bad configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -58,12 +59,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             values.update(json.loads(args.config.read_text()))
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config file {args.config}: {e}") from e
-    for name in ("seed", "base_channel", "ssf_scheme", "attention_reduction",
-                 "include_f5_p5", "height", "width", "batch", "suite",
-                 "mac_convention", "precision", "backbone_pattern"):
-        flag = getattr(args, name)
+    for field in dataclasses.fields(RunConfig):
+        flag = getattr(args, field.name)
         if flag is not None:
-            values[name] = flag
+            values[field.name] = flag
     return RunConfig.from_dict(values)
 
 

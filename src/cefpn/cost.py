@@ -8,7 +8,7 @@ all-zero strides) and records each op under the module path of its scope
 * a convolution or fully connected layer costs mac * |W| * out_h * out_w
   FLOPs (out_h = out_w = 1 for a fully connected layer) under the stated
   multiply-accumulate convention (1 or 2), and its weight plus bias
-  elements as parameters;
+  elements as parameters (every layer carries a bias);
 * an ``add``, ``scale`` or ``mul_channelwise`` costs 1 FLOP per output
   element, except inside ``ssf``;
 * everything else (pooling, interpolation, pixel shuffling, slicing,
@@ -71,7 +71,6 @@ class CostReport:
     base_channel: int
     geometry: tuple[int, int]
     mac_convention: int
-    bias_enabled: bool
     entries: tuple[CostEntry, ...]
 
     @property
@@ -95,7 +94,7 @@ class CostReport:
         return out
 
     def to_dict(self) -> dict:
-        convention = {"mac": self.mac_convention, "bias": self.bias_enabled}
+        convention = {"mac": self.mac_convention}
         flops = self.module_flops()
         return {
             "name": self.name,
@@ -118,7 +117,7 @@ class CostReport:
         lines = [
             f"cost report: {self.name}  (width {self.base_channel}, "
             f"geometry {self.geometry[0]}x{self.geometry[1]}, "
-            f"mac={self.mac_convention}, bias={'on' if self.bias_enabled else 'off'})",
+            f"mac={self.mac_convention})",
             f"{'layer':<28} {'module':<12} {'params':>12} {'flops':>16}",
         ]
         for e in self.entries:
@@ -176,7 +175,7 @@ def _zeros(shape: tuple[int, ...], _fan_in: int = 0) -> Tensor:
     return t
 
 
-def _report(name: str, config: NeckConfig, geometry: tuple[int, int], mac: int, bias: bool,
+def _report(name: str, config: NeckConfig, geometry: tuple[int, int], mac: int,
             modules: tuple[str, ...] | None = None) -> CostReport:
     """Trace the neck of ``config`` and tabulate the rows of ``modules`` (all
     when None) under the charging rules of the module docstring."""
@@ -185,7 +184,7 @@ def _report(name: str, config: NeckConfig, geometry: tuple[int, int], mac: int, 
     h, w = geometry
     shapes = level_shapes(config.base_channel, h, w)
     backbone = BackbonePyramid(*(_zeros((0,) + shapes[i][1:]) for i in (2, 3, 4, 5)))
-    params = _build_params(config, _zeros, bias)
+    params = _build_params(config, _zeros)
     rows: dict[str, list] = {}
     for layer, op, out, parents in _traced(lambda: cefpn_forward(backbone, params, config)):
         module = layer.split(".")[0]
@@ -203,28 +202,26 @@ def _report(name: str, config: NeckConfig, geometry: tuple[int, int], mac: int, 
     reached = list(dict.fromkeys(row[0] for row in rows.values()))
     entries = sorted((CostEntry(layer, *row) for layer, row in rows.items()),
                      key=lambda e: reached.index(e.module))
-    return CostReport(name, config.base_channel, (h, w), mac, bias, tuple(entries))
+    return CostReport(name, config.base_channel, (h, w), mac, tuple(entries))
 
 
 def fpn_baseline_report(base_channel: int, geometry: tuple[int, int],
-                        mac_convention: int = 2, bias: bool = True) -> CostReport:
+                        mac_convention: int = 2) -> CostReport:
     """The plain feature pyramid neck used as the comparison baseline:
     laterals for C2..C5 (F5 included) and post-merge convolutions P2..P5."""
     # Any reduction valid at every width: the attention rows are not read.
     config = NeckConfig(base_channel, attention_reduction=1, include_f5_p5=True)
-    return _report("baseline", config, geometry, mac_convention, bias, _BASELINE_MODULES)
+    return _report("baseline", config, geometry, mac_convention, _BASELINE_MODULES)
 
 
 def cefpn_report(config: NeckConfig, geometry: tuple[int, int],
-                 mac_convention: int = 2, bias: bool = True,
-                 name: str = "cefpn") -> CostReport:
+                 mac_convention: int = 2) -> CostReport:
     """The full neck for the given configuration."""
-    return _report(name, config, geometry, mac_convention, bias)
+    return _report("cefpn", config, geometry, mac_convention)
 
 
 def variant_report(variant: str, base_channel: int, geometry: tuple[int, int],
-                   mac_convention: int = 2, bias: bool = True,
-                   attention_reduction: int = 32) -> CostReport:
+                   mac_convention: int = 2, attention_reduction: int = 32) -> CostReport:
     """Baseline plus a single mechanism, as in the reference ablation table.
 
     ``ssf_a``/``ssf_b``/``ssf_c`` and ``cag`` keep F5/P5 alongside the added
@@ -234,7 +231,7 @@ def variant_report(variant: str, base_channel: int, geometry: tuple[int, int],
         raise ConfigError(f"unknown variant {variant!r}")
     overrides, added = VARIANTS[variant]
     config = NeckConfig(base_channel, attention_reduction=attention_reduction, **overrides)
-    return _report(variant, config, geometry, mac_convention, bias, _BASELINE_MODULES + added)
+    return _report(variant, config, geometry, mac_convention, _BASELINE_MODULES + added)
 
 
 def compare_to_baseline(report: CostReport, baseline: CostReport) -> DeltaSummary:

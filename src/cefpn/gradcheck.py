@@ -6,8 +6,8 @@ One analytic forward keeps the graph for ``backward``; for the numeric
 forwards every checked leaf has ``requires_grad`` switched off (and restored
 afterwards), so they record no graph and keep nothing for a backward pass.
 Their values are bit for bit those of the graph forward.
-Double precision is required; with h = 1e-6 the truncation and roundoff
-floors sit far below the 1e-4 acceptance threshold.
+Double precision is required; with h = ``DEFAULT_STEP`` = 1e-6 the
+truncation and roundoff floors sit far below the 1e-4 acceptance threshold.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ DEFAULT_STEP = 1e-6
 DEFAULT_THRESHOLD = 1e-4
 _REL_FLOOR = 1e-6
 
-# Central differences carry absolute roundoff of roughly ulp(loss) / step
-# (~1e-10 * |loss| at the default step). Gradient components below that
+# Central differences carry absolute roundoff of roughly ulp(loss) / h
+# (~1e-10 * |loss| at h = DEFAULT_STEP). Gradient components below that
 # cannot be resolved relatively, so the error denominator is floored at
 # 1e-4 * |loss|: two orders above the noise, while a missing or mis-scaled
 # gradient of any component larger than ~1e-7 * |loss| still lands far
@@ -42,8 +42,7 @@ def relative_error(analytic: float, numeric: float, floor: float = _REL_FLOOR) -
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
 
 
-def central_difference(loss_fn: Callable[[], float], leaf: Tensor,
-                       flat_index: int, step: float = DEFAULT_STEP) -> float:
+def central_difference(loss_fn: Callable[[], float], leaf: Tensor, flat_index: int) -> float:
     """d loss / d leaf[flat_index] by re-running the forward twice.
 
     Temporarily unfreezes the leaf buffer; the perturbation is always undone.
@@ -52,19 +51,19 @@ def central_difference(loss_fn: Callable[[], float], leaf: Tensor,
     buf.flags.writeable = True
     original = buf.flat[flat_index]
     try:
-        buf.flat[flat_index] = original + step
+        buf.flat[flat_index] = original + DEFAULT_STEP
         plus = loss_fn()
-        buf.flat[flat_index] = original - step
+        buf.flat[flat_index] = original - DEFAULT_STEP
         minus = loss_fn()
     finally:
         buf.flat[flat_index] = original
         buf.flags.writeable = False
-    return (plus - minus) / (2.0 * step)
+    return (plus - minus) / (2.0 * DEFAULT_STEP)
 
 
 def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
-                         samples: int | None = None, rng: np.random.Generator | None = None,
-                         step: float = DEFAULT_STEP) -> float:
+                         samples: int | None = None,
+                         rng: np.random.Generator | None = None) -> float:
     """Max relative error between analytic and numeric gradients.
 
     ``loss_fn`` must rebuild the graph from the given leaf tensors on every
@@ -100,7 +99,7 @@ def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
             leaf = leaves[which]
             idx = int(flat - bounds[which])
             analytic = 0.0 if leaf.grad is None else float(leaf.grad.flat[idx])
-            numeric = central_difference(lambda: loss_fn().item(), leaf, idx, step)
+            numeric = central_difference(lambda: loss_fn().item(), leaf, idx)
             worst = max(worst, relative_error(analytic, numeric, floor))
     finally:
         for leaf, flag in zip(leaves, flags):
@@ -122,7 +121,7 @@ def _probe(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
     return Tensor(rng.uniform(0.5, 1.5, size=shape))
 
 
-def op_gradient_suite(seed: int = 0, step: float = DEFAULT_STEP) -> dict[str, float]:
+def op_gradient_suite(seed: int = 0) -> dict[str, float]:
     """Finite-difference check for each engine operation in isolation.
 
     Returns the worst relative error per op name. Losses project outputs
@@ -134,7 +133,7 @@ def op_gradient_suite(seed: int = 0, step: float = DEFAULT_STEP) -> dict[str, fl
     def run(name: str, leaves: list[Tensor], out_fn: Callable[[], Tensor]) -> None:
         probe = _probe(rng, out_fn().shape)
         loss_fn = lambda: sum_all(mul(out_fn(), probe))
-        results[name] = check_loss_gradients(loss_fn, leaves, step=step)
+        results[name] = check_loss_gradients(loss_fn, leaves)
 
     x = _distinct(rng, (1, 3, 5, 5))
     spec1 = ConvSpec.seeded(rng, 3, 4, 1)
@@ -144,8 +143,10 @@ def op_gradient_suite(seed: int = 0, step: float = DEFAULT_STEP) -> dict[str, fl
     spec3 = ConvSpec.seeded(rng, 3, 2, 3)
     run("conv2d_3x3", [x2, spec3.weight, spec3.bias], lambda: conv2d(x2, spec3))
 
-    spec3s = ConvSpec.seeded(rng, 3, 2, 3, stride=2)
-    run("conv2d_3x3_stride2", [x2, spec3s.weight, spec3s.bias], lambda: conv2d(x2, spec3s))
+    # o >= n*h*w: the im2col path, which sce.local_3x3 takes
+    x3 = _distinct(rng, (1, 3, 2, 2))
+    spec3i = ConvSpec.seeded(rng, 3, 4, 3)
+    run("conv2d_3x3_im2col", [x3, spec3i.weight, spec3i.bias], lambda: conv2d(x3, spec3i))
 
     xp = _distinct(rng, (1, 2, 6, 6))
     run("max_pool2d", [xp], lambda: max_pool2d(xp, 3, 2, 1))
@@ -186,11 +187,11 @@ def op_gradient_suite(seed: int = 0, step: float = DEFAULT_STEP) -> dict[str, fl
     run("squeeze_spatial", [xbr], lambda: squeeze_spatial(xbr))
 
     xsum = _distinct(rng, (1, 2, 3, 3))
-    results["sum_all"] = check_loss_gradients(lambda: sum_all(xsum), [xsum], step=step)
+    results["sum_all"] = check_loss_gradients(lambda: sum_all(xsum), [xsum])
     return results
 
 
-def linear_only_error(seed: int = 0, step: float = DEFAULT_STEP) -> float:
+def linear_only_error(seed: int = 0) -> float:
     """Worst error for a lone fully connected layer; the map is exactly
     linear, so central differences are exact up to roundoff."""
     rng = np.random.default_rng(seed)
@@ -198,7 +199,7 @@ def linear_only_error(seed: int = 0, step: float = DEFAULT_STEP) -> float:
     spec = LinearSpec.seeded(rng, 8, 5)
     probe = _probe(rng, (5,))
     loss_fn = lambda: sum_all(mul(linear(x, spec), probe))
-    return check_loss_gradients(loss_fn, [x, spec.weight, spec.bias], step=step)
+    return check_loss_gradients(loss_fn, [x, spec.weight, spec.bias])
 
 
 @dataclass(frozen=True)
@@ -209,8 +210,7 @@ class EndToEndResult:
 
 
 def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
-                         batch: int = 1, seed: int = 0, samples: int = 200,
-                         step: float = DEFAULT_STEP) -> EndToEndResult:
+                         batch: int = 1, seed: int = 0, samples: int = 200) -> EndToEndResult:
     """Check d(sum of all output levels)/d(theta) for sampled parameters.
 
     The forward pass is rebuilt from the same parameter tensors on every
@@ -230,6 +230,6 @@ def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
         return loss
 
     rng = np.random.default_rng(seed + 2)
-    err = check_loss_gradients(loss_fn, leaves, samples=samples, rng=rng, step=step)
+    err = check_loss_gradients(loss_fn, leaves, samples=samples, rng=rng)
     return EndToEndResult(err, min(samples, total), total)
 

@@ -49,14 +49,18 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
         raise ShapeError(f"pixel_shuffle: input must be 4-d, got shape {x.shape}")
     if not isinstance(r, int) or r < 1:
         raise ConfigError(f"pixel_shuffle: upscale factor must be a positive integer, got {r}")
-    n, c, h, w = x.shape
+    c = x.shape[1]
     if c % (r * r) != 0:
         raise ConfigError(f"pixel_shuffle: {c} channels not divisible by r^2 = {r * r} (r = {r})")
-    cq = c // (r * r)
+    return _record("pixel_shuffle", _shuffle_data(x.data, r), (x,),
+                   lambda g: (_unshuffle_data(g, r),))
 
-    blocks = x.data.reshape(n, r, r, cq, h, w)
-    out = np.ascontiguousarray(blocks.transpose(0, 3, 4, 1, 5, 2)).reshape(n, cq, r * h, r * w)
-    return _record("pixel_shuffle", out, (x,), lambda g: (_unshuffle_data(g, r),))
+
+def _shuffle_data(d: np.ndarray, r: int) -> np.ndarray:
+    n, c, h, w = d.shape
+    cq = c // (r * r)
+    blocks = d.reshape(n, r, r, cq, h, w)
+    return np.ascontiguousarray(blocks.transpose(0, 3, 4, 1, 5, 2)).reshape(n, cq, r * h, r * w)
 
 
 def _unshuffle_data(d: np.ndarray, r: int) -> np.ndarray:
@@ -72,15 +76,11 @@ def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
         raise ShapeError(f"pixel_unshuffle: input must be 4-d, got shape {x.shape}")
     if not isinstance(r, int) or r < 1:
         raise ConfigError(f"pixel_unshuffle: upscale factor must be a positive integer, got {r}")
-    n, c, h, w = x.shape
+    h, w = x.shape[2], x.shape[3]
     if h % r != 0 or w % r != 0:
         raise ShapeError(f"pixel_unshuffle: extents {h}x{w} not divisible by r = {r}")
-
-    def grad_fn(g):
-        blocks = g.reshape(n, r, r, c, h // r, w // r)
-        return (np.ascontiguousarray(blocks.transpose(0, 3, 4, 1, 5, 2)).reshape(n, c, h, w),)
-
-    return _record("pixel_unshuffle", _unshuffle_data(x.data, r), (x,), grad_fn)
+    return _record("pixel_unshuffle", _unshuffle_data(x.data, r), (x,),
+                   lambda g: (_shuffle_data(g, r),))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +189,7 @@ class NeckParams:
     def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
         for name, _module, spec in self.named_layers():
             yield f"{name}.weight", spec.weight
-            if spec.bias_enabled:
-                yield f"{name}.bias", spec.bias
+            yield f"{name}.bias", spec.bias
 
     def scalar_count(self) -> int:
         """Number of scalars actually allocated across all parameter tensors."""
@@ -198,7 +197,7 @@ class NeckParams:
 
 
 def init_neck_params(config: NeckConfig, seed: int, dtype=np.float64,
-                     bias: bool = True, requires_grad: bool = True) -> NeckParams:
+                     requires_grad: bool = True) -> NeckParams:
     """Seeded uniform initialization; identical seeds give bit-identical params.
 
     Allocation order is fixed: laterals ascending, post-merge convs ascending,
@@ -208,20 +207,20 @@ def init_neck_params(config: NeckConfig, seed: int, dtype=np.float64,
     """
     rng = np.random.default_rng(seed)
     return _build_params(
-        config, lambda shape, fan_in: uniform_init(rng, shape, fan_in, dtype, requires_grad), bias)
+        config, lambda shape, fan_in: uniform_init(rng, shape, fan_in, dtype, requires_grad))
 
 
-def _build_params(config: NeckConfig, make, bias: bool) -> NeckParams:
+def _build_params(config: NeckConfig, make) -> NeckParams:
     """Every layer of the neck in allocation order, each tensor from
     ``make(shape, fan_in)``."""
     c = config.base_channel
     back = config.backbone_channels()
 
     def conv(cin: int, cout: int, kernel: int) -> ConvSpec:
-        return ConvSpec._made(make, cin, cout, kernel, bias=bias)
+        return ConvSpec._made(make, cin, cout, kernel)
 
     def fc(fin: int, fout: int) -> LinearSpec:
-        return LinearSpec._made(make, fin, fout, bias=bias)
+        return LinearSpec._made(make, fin, fout)
 
     laterals = {i: conv(back[i], c, 1) for i in config.levels}
     post = {i: conv(c, c, 3) for i in config.levels}

@@ -1,19 +1,19 @@
 """Convolution, pooling, interpolation, and fully connected layers.
 
-Output extents follow floor((extent + 2*padding - kernel) / stride) + 1.
+Every convolution is stride 1 with "same" zero padding, so it keeps its
+input's extent; kernels are 1x1 or 3x3, and every layer carries a bias.
+Max pooling maps an extent e to (e + 2*padding - kernel) // stride + 1.
 Padded inputs of im2col convolutions (zeros) and max pooling (-inf) come
 from ``_pad``, which fills one ``np.empty`` buffer by slice assignment.
-A 3x3, stride-1, padding-1 convolution whose output channels are below
-n*oh*ow (so its tap-major weight copy is smaller than im2col's ``cols``) runs
-as nine shifted GEMMs over the flat padded input, with no im2col copy (see
-``_conv3x3_shifted``). Every other convolution is im2col plus one
-weight-major GEMM per direction: forward ``W @ cols``, weight gradient
-``g @ cols^T`` summed over the batch, input gradient ``W^T @ g`` folded back
-by col2im (k^2 strided adds). Either way the input gradient is computed only
-when the input requires a gradient.
-All layers carry bias by default with a per-layer disable flag. Backward
-passes route max-pool gradients to the first maximal element in row-major
-window scan order on exact ties.
+A 3x3 convolution whose output channels are below n*h*w (so its tap-major
+weight copy is smaller than im2col's ``cols``) runs as nine shifted GEMMs
+over the flat padded input, with no im2col copy (see ``_conv3x3_shifted``).
+Every other convolution is one weight-major GEMM per direction: forward
+``W @ cols``, weight gradient ``g @ cols^T`` summed over the batch, input
+gradient ``W^T @ g``, folded back by col2im (9 shifted adds) for a 3x3.
+Either way the input gradient is computed only when the input requires a
+gradient. Backward passes route max-pool gradients to the first maximal
+element in row-major window scan order on exact ties.
 """
 
 from __future__ import annotations
@@ -30,10 +30,6 @@ NEG_INF = -np.inf
 # elements. Chunks consume the generator's stream exactly as one whole draw
 # does, so the values are the same at any chunk size.
 _DRAW_CHUNK = 1 << 16
-
-
-def _out_extent(extent: int, kernel: int, stride: int, padding: int) -> int:
-    return (extent + 2 * padding - kernel) // stride + 1
 
 
 def _draw_uniform(rng: np.random.Generator, low: float, high: float,
@@ -55,94 +51,89 @@ def uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, 
     return _wrap(_draw_uniform(rng, -bound, bound, shape, dtype), requires_grad)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConvSpec:
-    """A 2-d convolution layer: weights (out, in, k, k) plus optional bias."""
+    """A stride-1 "same" 2-d convolution layer: weights (out, in, k, k) plus bias.
+
+    ``stride`` and ``padding`` are derived, read-only values.
+    """
 
     in_channels: int
     out_channels: int
     kernel: int
-    stride: int
-    padding: int
     weight: Tensor
-    bias: Tensor | None
-    bias_enabled: bool
+    bias: Tensor
+
+    stride = 1
 
     def __post_init__(self):
         if self.kernel not in (1, 3):
             raise ConfigError(f"conv kernel must be 1 or 3, got {self.kernel}")
-        if self.stride < 1:
-            raise ConfigError(f"conv stride must be >= 1, got {self.stride}")
         expect = (self.out_channels, self.in_channels, self.kernel, self.kernel)
         if self.weight.shape != expect:
             raise ConfigError(f"conv weight shape {self.weight.shape} != {expect}")
-        if self.bias_enabled and (self.bias is None or self.bias.shape != (self.out_channels,)):
+        if self.bias.shape != (self.out_channels,):
             raise ConfigError("conv bias must be a vector of length out_channels")
+
+    @property
+    def padding(self) -> int:
+        return (self.kernel - 1) // 2
 
     @classmethod
     def seeded(cls, rng: np.random.Generator, in_channels: int, out_channels: int,
-               kernel: int, stride: int = 1, padding: int | None = None,
-               bias: bool = True, dtype=np.float64, requires_grad: bool = True) -> "ConvSpec":
+               kernel: int, dtype=np.float64, requires_grad: bool = True) -> "ConvSpec":
         draw = lambda shape, fan_in: uniform_init(rng, shape, fan_in, dtype, requires_grad)
-        return cls._made(draw, in_channels, out_channels, kernel, stride, padding, bias)
+        return cls._made(draw, in_channels, out_channels, kernel)
 
     @classmethod
-    def _made(cls, make, in_channels: int, out_channels: int, kernel: int, stride: int = 1,
-              padding: int | None = None, bias: bool = True) -> "ConvSpec":
+    def _made(cls, make, in_channels: int, out_channels: int, kernel: int) -> "ConvSpec":
         """The layer with its weight, then its bias, from ``make(shape, fan_in)``."""
-        if padding is None:
-            padding = (kernel - 1) // 2
         fan_in = in_channels * kernel * kernel
         weight = make((out_channels, in_channels, kernel, kernel), fan_in)
-        b = make((out_channels,), fan_in) if bias else None
-        return cls(in_channels, out_channels, kernel, stride, padding, weight, b, bias)
+        return cls(in_channels, out_channels, kernel, weight, make((out_channels,), fan_in))
 
     @property
     def param_count(self) -> int:
-        n = self.out_channels * self.in_channels * self.kernel * self.kernel
-        return n + (self.out_channels if self.bias_enabled else 0)
+        return self.out_channels * (self.in_channels * self.kernel * self.kernel + 1)
 
     def parameters(self) -> list[Tensor]:
-        return [self.weight] + ([self.bias] if self.bias_enabled else [])
+        return [self.weight, self.bias]
 
 
-@dataclass
+@dataclass(frozen=True)
 class LinearSpec:
-    """A fully connected layer: weights (out, in) plus optional bias."""
+    """A fully connected layer: weights (out, in) plus bias."""
 
     in_features: int
     out_features: int
     weight: Tensor
-    bias: Tensor | None
-    bias_enabled: bool
+    bias: Tensor
 
     def __post_init__(self):
         if self.weight.shape != (self.out_features, self.in_features):
             raise ConfigError(
                 f"linear weight shape {self.weight.shape} != {(self.out_features, self.in_features)}")
-        if self.bias_enabled and (self.bias is None or self.bias.shape != (self.out_features,)):
+        if self.bias.shape != (self.out_features,):
             raise ConfigError("linear bias must be a vector of length out_features")
 
     @classmethod
     def seeded(cls, rng: np.random.Generator, in_features: int, out_features: int,
-               bias: bool = True, dtype=np.float64, requires_grad: bool = True) -> "LinearSpec":
+               dtype=np.float64, requires_grad: bool = True) -> "LinearSpec":
         draw = lambda shape, fan_in: uniform_init(rng, shape, fan_in, dtype, requires_grad)
-        return cls._made(draw, in_features, out_features, bias)
+        return cls._made(draw, in_features, out_features)
 
     @classmethod
-    def _made(cls, make, in_features: int, out_features: int, bias: bool = True) -> "LinearSpec":
+    def _made(cls, make, in_features: int, out_features: int) -> "LinearSpec":
         """The layer with its weight, then its bias, from ``make(shape, fan_in)``."""
         weight = make((out_features, in_features), in_features)
-        b = make((out_features,), in_features) if bias else None
-        return cls(in_features, out_features, weight, b, bias)
+        return cls(in_features, out_features, weight, make((out_features,), in_features))
 
     @property
     def param_count(self) -> int:
-        n = self.out_features * self.in_features
-        return n + (self.out_features if self.bias_enabled else 0)
+        return self.out_features * (self.in_features + 1)
 
     def parameters(self) -> list[Tensor]:
-        return [self.weight] + ([self.bias] if self.bias_enabled else [])
+        return [self.weight, self.bias]
 
 
 def _pad(a: np.ndarray, p: int, fill: float = 0.0) -> np.ndarray:
@@ -159,27 +150,26 @@ def _pad(a: np.ndarray, p: int, fill: float = 0.0) -> np.ndarray:
     return out
 
 
-def _gather_windows(padded: np.ndarray, kernel: int, stride: int,
-                    oh: int, ow: int) -> np.ndarray:
-    """(n, c, H, W) padded input -> (n, c, k, k, oh, ow) window stack."""
-    n, c = padded.shape[0], padded.shape[1]
-    cols = np.empty((n, c, kernel, kernel, oh, ow), dtype=padded.dtype)
-    for ky in range(kernel):
-        for kx in range(kernel):
-            cols[:, :, ky, kx] = padded[:, :, ky:ky + stride * oh:stride,
-                                        kx:kx + stride * ow:stride]
+def _gather_windows(x: np.ndarray) -> np.ndarray:
+    """(n, c, h, w) input -> (n, c, 3, 3, h, w) stack of its zero-padded 3x3
+    windows."""
+    n, c, h, w = x.shape
+    padded = _pad(x, 1)
+    cols = np.empty((n, c, 3, 3, h, w), dtype=x.dtype)
+    for ky in range(3):
+        for kx in range(3):
+            cols[:, :, ky, kx] = padded[:, :, ky:ky + h, kx:kx + w]
     return cols
 
 
 def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
-    """Zero-padded 2-d convolution of an (n, c, h, w) tensor.
+    """Stride-1 "same" 2-d convolution of an (n, c, h, w) tensor.
 
-    A 3x3 kernel at stride 1 and padding 1 with fewer output channels than
-    n*oh*ow runs as nine shifted GEMMs (``_conv3x3_shifted``). Otherwise the
-    forward is one weight-major GEMM on the im2col layout:
-    ``W.reshape(o, c*k*k) @ cols`` with cols of shape (n, c*k*k, oh*ow). A 1x1
-    kernel at stride 1 without padding uses the input itself as cols. A
-    batch-0 cost trace (n*oh*ow = 0) never takes the shifted path, whose
+    A 3x3 kernel with fewer output channels than n*h*w runs as nine shifted
+    GEMMs (``_conv3x3_shifted``). Otherwise the forward is one weight-major
+    GEMM on the im2col layout: ``W.reshape(o, c*k*k) @ cols`` with cols of
+    shape (n, c*k*k, h*w). A 1x1 kernel uses the input itself as cols. A
+    batch-0 cost trace (n*h*w = 0) never takes the shifted path, whose
     tap-major copy would allocate the trace's zero-stride placeholder weight.
     """
     if x.data.ndim != 4:
@@ -190,50 +180,40 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
             f"conv2d: input has {c} channels but the layer expects {spec.in_channels}")
     if h < 1 or w < 1:
         raise ShapeError(f"conv2d: spatial extents must be >= 1, got {h}x{w}")
-    k, s, p = spec.kernel, spec.stride, spec.padding
-    oh, ow = _out_extent(h, k, s, p), _out_extent(w, k, s, p)
-    if oh < 1 or ow < 1:
-        raise ShapeError(f"conv2d: window {k}x{k} does not fit {h}x{w} input with padding {p}")
 
+    k, o = spec.kernel, spec.out_channels
+    if k == 3 and o < n * h * w:
+        return _conv3x3_shifted(x, spec)
     weight, bias = spec.weight, spec.bias
-    parents = (x, weight) + ((bias,) if spec.bias_enabled else ())
-    o, ckk = spec.out_channels, c * k * k
-    if k == 3 and s == 1 and p == 1 and o < n * oh * ow:
-        return _conv3x3_shifted(x, spec, parents)
-    pointwise = k == 1 and s == 1 and p == 0
+    ckk = c * k * k
 
-    if pointwise:
+    if k == 1:
         cols = x.data.reshape(n, c, h * w)
     else:
-        padded = _pad(x.data, p) if p else x.data
-        cols = _gather_windows(padded, k, s, oh, ow).reshape(n, ckk, oh * ow)
-    out = weight.data.reshape(o, ckk) @ cols  # (n, o, oh*ow)
-    if spec.bias_enabled:
-        out += bias.data.reshape(1, o, 1)
+        cols = _gather_windows(x.data).reshape(n, ckk, h * w)
+    out = weight.data.reshape(o, ckk) @ cols  # (n, o, h*w)
+    out += bias.data.reshape(1, o, 1)
 
     def grad_fn(g: np.ndarray):
-        g = g.reshape(n, o, oh * ow)
+        g = g.reshape(n, o, h * w)
         gw = g[0] @ cols[0].T
         for i in range(1, n):
             gw += g[i] @ cols[i].T
         gx = None
         if x.requires_grad:  # read at backward time, like backward's own filter
-            gcols = weight.data.reshape(o, ckk).T @ g  # (n, c*k*k, oh*ow)
-            if pointwise:
+            gcols = weight.data.reshape(o, ckk).T @ g  # (n, c*k*k, h*w)
+            if k == 1:
                 gx = gcols.reshape(n, c, h, w)
             else:  # col2im: scatter-add each kernel tap back onto the padded grid
-                gcols = gcols.reshape(n, c, k, k, oh, ow)
-                gpad = np.zeros((n, c, h + 2 * p, w + 2 * p), dtype=g.dtype)
-                for ky in range(k):
-                    for kx in range(k):
-                        gpad[:, :, ky:ky + s * oh:s, kx:kx + s * ow:s] += gcols[:, :, ky, kx]
-                gx = np.ascontiguousarray(gpad[:, :, p:p + h, p:p + w]) if p else gpad
-        grads = [gx, gw.reshape(weight.shape)]
-        if spec.bias_enabled:
-            grads.append(g.sum(axis=(0, 2)))
-        return tuple(grads)
+                gcols = gcols.reshape(n, c, 3, 3, h, w)
+                gpad = np.zeros((n, c, h + 2, w + 2), dtype=g.dtype)
+                for ky in range(3):
+                    for kx in range(3):
+                        gpad[:, :, ky:ky + h, kx:kx + w] += gcols[:, :, ky, kx]
+                gx = np.ascontiguousarray(gpad[:, :, 1:h + 1, 1:w + 1])
+        return gx, gw.reshape(weight.shape), g.sum(axis=(0, 2))
 
-    return _record("conv2d", out.reshape(n, o, oh, ow), parents, grad_fn)
+    return _record("conv2d", out.reshape(n, o, h, w), (x, weight, bias), grad_fn)
 
 
 def _tap_major(weight: np.ndarray) -> np.ndarray:
@@ -243,8 +223,8 @@ def _tap_major(weight: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(weight.transpose(2, 3, 0, 1)).reshape(9, o, c)
 
 
-def _conv3x3_shifted(x: Tensor, spec: ConvSpec, parents: tuple[Tensor, ...]) -> Tensor:
-    """3x3, stride-1, padding-1 convolution as 9 shifted GEMMs, no im2col.
+def _conv3x3_shifted(x: Tensor, spec: ConvSpec) -> Tensor:
+    """3x3 convolution as 9 shifted GEMMs, no im2col.
 
     The input is zero-padded by one row above, two below and one column on
     each side, and each padded plane is viewed flat at width ``w + 2``. Tap
@@ -272,7 +252,7 @@ def _conv3x3_shifted(x: Tensor, spec: ConvSpec, parents: tuple[Tensor, ...]) -> 
         acc += prod
     del taps, prod  # freed before the crop copy
     out = acc.reshape(n, o, h, wp)[:, :, :, :w]
-    out = out + spec.bias.data.reshape(1, o, 1, 1) if spec.bias_enabled else out.copy()
+    out = out + spec.bias.data.reshape(1, o, 1, 1)
 
     def grad_fn(g: np.ndarray):
         gp = np.zeros((n, o, h, wp), dtype=g.dtype)
@@ -292,12 +272,10 @@ def _conv3x3_shifted(x: Tensor, spec: ConvSpec, parents: tuple[Tensor, ...]) -> 
                 np.matmul(taps[t].T, gp, out=prod)
                 gxp[:, :, off:off + m] += prod
             gx = np.ascontiguousarray(gxp.reshape(n, c, h + 3, wp)[:, :, 1:h + 1, 1:w + 1])
-        grads = [gx, np.ascontiguousarray(gw.reshape(3, 3, o, c).transpose(2, 3, 0, 1))]
-        if spec.bias_enabled:
-            grads.append(g.sum(axis=(0, 2, 3)))
-        return tuple(grads)
+        gw = np.ascontiguousarray(gw.reshape(3, 3, o, c).transpose(2, 3, 0, 1))
+        return gx, gw, g.sum(axis=(0, 2, 3))
 
-    return _record("conv2d", out, parents, grad_fn)
+    return _record("conv2d", out, (x, spec.weight, spec.bias), grad_fn)
 
 
 def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
@@ -312,7 +290,8 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     if kernel < 1 or stride < 1:
         raise ConfigError(f"max_pool2d: kernel and stride must be >= 1, got {kernel}, {stride}")
     n, c, h, w = x.shape
-    oh, ow = _out_extent(h, kernel, stride, padding), _out_extent(w, kernel, stride, padding)
+    oh = (h + 2 * padding - kernel) // stride + 1
+    ow = (w + 2 * padding - kernel) // stride + 1
     if h + 2 * padding < kernel or w + 2 * padding < kernel or oh < 1 or ow < 1:
         raise ShapeError(
             f"max_pool2d: window {kernel}x{kernel} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
@@ -402,23 +381,12 @@ def linear(x: Tensor, spec: LinearSpec) -> Tensor:
             f"linear: input length {x.shape[-1]} but the layer expects {spec.in_features}")
 
     weight, bias = spec.weight, spec.bias
-    parents = (x, weight) + ((bias,) if spec.bias_enabled else ())
-
-    out = x.data @ weight.data.T
-    if spec.bias_enabled:
-        out = out + bias.data
+    out = x.data @ weight.data.T + bias.data
 
     def grad_fn(g):
         gx = g @ weight.data
         if x.data.ndim == 1:
-            gw = np.outer(g, x.data)
-            gb = g.copy()
-        else:
-            gw = g.T @ x.data
-            gb = g.sum(axis=0)
-        grads = [gx, gw]
-        if spec.bias_enabled:
-            grads.append(gb)
-        return tuple(grads)
+            return gx, np.outer(g, x.data), g.copy()
+        return gx, g.T @ x.data, g.sum(axis=0)
 
-    return _record("linear", out, parents, grad_fn)
+    return _record("linear", out, (x, weight, bias), grad_fn)

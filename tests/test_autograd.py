@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from cefpn import ConfigError, Tensor
+from cefpn import ConfigError, Tensor, ops
 from cefpn.gradcheck import DEFAULT_THRESHOLD, check_loss_gradients, linear_only_error, \
     op_gradient_suite
 from cefpn.tensor import add, mul, relu, sum_all
 
 EXPECTED_OPS = {
-    "conv2d_1x1", "conv2d_3x3", "conv2d_3x3_stride2", "max_pool2d",
+    "conv2d_1x1", "conv2d_3x3", "conv2d_3x3_im2col", "max_pool2d",
     "global_avg_pool", "global_max_pool", "interpolate_nearest", "linear",
     "sigmoid", "relu", "add", "mul", "mul_channelwise", "scale",
     "pixel_shuffle", "pixel_unshuffle", "channel_slice", "broadcast_spatial",
@@ -22,6 +22,20 @@ def test_every_op_below_threshold():
     assert EXPECTED_OPS <= set(errors)
     for name, err in errors.items():
         assert err < DEFAULT_THRESHOLD, f"{name}: {err:.3e}"
+
+
+def test_suite_checks_both_3x3_paths(monkeypatch):
+    calls = {"_conv3x3_shifted": 0, "_gather_windows": 0}
+    for name in calls:
+        real = getattr(ops, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(ops, name, counted)
+    op_gradient_suite(seed=0)
+    assert calls["_conv3x3_shifted"] > 0 and calls["_gather_windows"] > 0
 
 
 def test_suite_is_deterministic():

@@ -58,22 +58,21 @@ class TestParamCounts:
 
     @pytest.mark.parametrize("scheme", ["a", "b", "c"])
     @pytest.mark.parametrize("keep5", [False, True])
-    @pytest.mark.parametrize("bias", [True, False])
-    def test_mac_rows_are_the_allocated_layers(self, scheme, keep5, bias):
+    def test_mac_rows_are_the_allocated_layers(self, scheme, keep5):
         config = desk_config(ssf_scheme=scheme, include_f5_p5=keep5)
-        params = init_neck_params(config, 0, bias=bias)
-        report = cefpn_report(config, GEOM, bias=bias)
+        params = init_neck_params(config, 0)
+        report = cefpn_report(config, GEOM)
         assert mac_rows(report) == allocated_layers(params)
         assert report.total_params == params.scalar_count()
 
     @settings(max_examples=15, deadline=None)
     @given(st.sampled_from(["a", "b", "c"]), st.sampled_from([8, 16, 32]),
-           st.booleans(), st.booleans())
-    def test_counts_equal_allocated_scalars_property(self, scheme, width, keep5, bias):
+           st.booleans())
+    def test_counts_equal_allocated_scalars_property(self, scheme, width, keep5):
         config = NeckConfig(base_channel=width, ssf_scheme=scheme,
                             attention_reduction=4, include_f5_p5=keep5)
-        params = init_neck_params(config, 1, bias=bias)
-        report = cefpn_report(config, (128, 64), bias=bias)
+        params = init_neck_params(config, 1)
+        report = cefpn_report(config, (128, 64))
         assert mac_rows(report) == allocated_layers(params)
         assert report.total_params == params.scalar_count()
 

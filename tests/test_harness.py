@@ -10,7 +10,7 @@ import pytest
 from cefpn import ConfigError, ConvSpec, NeckParams, RunConfig, Tensor, cefpn_forward, \
     init_neck_params, run_cost, run_forward, run_gradcheck, synthetic_backbone
 from cefpn.backbone import ramp_level
-from cefpn.cli import main
+from cefpn.cli import _load_config, build_parser, main
 from cefpn.gradcheck import DEFAULT_THRESHOLD
 from cefpn.harness import _level_stats
 import cefpn.harness
@@ -51,9 +51,10 @@ def test_forward_json_is_byte_identical_to_stored(argv, capsys):
     assert capsys.readouterr().out == FORWARD_GOLDEN[argv]
 
 
-# `cefpn --suite gradcheck` stdout at desk scale, stored byte for byte from
-# the graph-free numeric forwards once stride-1 3x3 convs ran as shifted GEMMs.
-# Any later change must reproduce these bytes: same coordinates, same errors.
+# `cefpn --suite gradcheck` stdout at desk scale, stored byte for byte from the
+# per-op suite that checks both 3x3 paths (`conv2d_3x3` shifted,
+# `conv2d_3x3_im2col` im2col). Any later change must reproduce these bytes:
+# same coordinates, same errors.
 GRADCHECK_GOLDEN = json.loads((Path(__file__).parent / "gradcheck_desk_golden.json").read_text())
 
 
@@ -141,17 +142,17 @@ class TestRunForward:
             w = np.zeros((cout, cin, 1, 1))
             for j in range(cout):
                 w[j, j, 0, 0] = 1.0
-            return ConvSpec(cin, cout, 1, 1, 0, Tensor(w), Tensor(np.zeros(cout)), True)
+            return ConvSpec(cin, cout, 1, Tensor(w), Tensor(np.zeros(cout)))
 
         def center_tap(ch):
             w = np.zeros((ch, ch, 3, 3))
             for j in range(ch):
                 w[j, j, 1, 1] = 1.0
-            return ConvSpec(ch, ch, 3, 1, 1, Tensor(w), Tensor(np.zeros(ch)), True)
+            return ConvSpec(ch, ch, 3, Tensor(w), Tensor(np.zeros(ch)))
 
         def zero_conv(cin, cout, k):
-            return ConvSpec(cin, cout, k, 1, (k - 1) // 2,
-                            Tensor(np.zeros((cout, cin, k, k))), Tensor(np.zeros(cout)), True)
+            return ConvSpec(cin, cout, k, Tensor(np.zeros((cout, cin, k, k))),
+                            Tensor(np.zeros(cout)))
 
         fixture = NeckParams(
             laterals={i: select_identity(c * 2 ** (i - 2), c) for i in (2, 3, 4)},
@@ -263,6 +264,21 @@ class TestCli:
             (second / "forward_report.json").read_bytes()
         assert (first / "forward_report.txt").read_bytes() == \
             (second / "forward_report.txt").read_bytes()
+
+    def test_every_config_field_has_a_flag(self):
+        flags = {"seed": ["--seed", "5"], "base_channel": ["--base-channel", "32"],
+                 "ssf_scheme": ["--ssf-scheme", "a"], "attention_reduction": ["--reduction", "8"],
+                 "include_f5_p5": ["--include-f5-p5"], "height": ["--height", "128"],
+                 "width": ["--width", "128"], "batch": ["--batch", "2"],
+                 "suite": ["--suite", "cost"], "mac_convention": ["--mac-convention", "1"],
+                 "precision": ["--precision", "float32"],
+                 "backbone_pattern": ["--backbone", "ramp"]}
+        assert set(flags) == {f.name for f in dataclasses.fields(RunConfig)}
+        argv = [token for tokens in flags.values() for token in tokens]
+        loaded = _load_config(build_parser().parse_args(argv))
+        default = RunConfig()
+        for name in flags:
+            assert getattr(loaded, name) != getattr(default, name), name
 
     def test_flags_override_config_file(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"

@@ -1,6 +1,8 @@
 """Neck mechanisms: skip fusion, top-down merge, context enhancement,
 attention guidance, and the assembled forward pass."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,14 +22,12 @@ def rand(shape, seed):
 
 
 def zero_conv(cin, cout, k):
-    return ConvSpec(cin, cout, k, 1, (k - 1) // 2, Tensor(np.zeros((cout, cin, k, k))),
-                    Tensor(np.zeros(cout)), True)
+    return ConvSpec(cin, cout, k, Tensor(np.zeros((cout, cin, k, k))), Tensor(np.zeros(cout)))
 
 
 def const_conv(cin, cout, k, value):
-    return ConvSpec(cin, cout, k, 1, (k - 1) // 2,
-                    Tensor(np.full((cout, cin, k, k), value)),
-                    Tensor(np.zeros(cout)), True)
+    return ConvSpec(cin, cout, k, Tensor(np.full((cout, cin, k, k), value)),
+                    Tensor(np.zeros(cout)))
 
 
 def desk_config(**kw):
@@ -138,7 +138,9 @@ class TestTopDownMerge:
 
     def test_zero_laterals_zero_bias_give_zero_pyramid(self):
         config = desk_config()
-        params = init_neck_params(config, 0, bias=False)
+        params = init_neck_params(config, 0)
+        params.post_convs = {i: dataclasses.replace(spec, bias=Tensor(np.zeros(spec.out_channels)))
+                             for i, spec in params.post_convs.items()}
         zeros = {i: Tensor(np.zeros((1, 16, 2 ** (6 - i), 2 ** (6 - i)))) for i in (2, 3, 4)}
         out = top_down_merge(zeros, params)
         for t in out.values():
@@ -265,10 +267,10 @@ class TestCag:
             laterals=params.laterals, post_convs=params.post_convs, ssf_reduce=None,
             sce_local=params.sce_local, sce_wide=params.sce_wide,
             sce_squeeze=params.sce_squeeze,
-            cag_fc1_squeeze=LinearSpec(16, 4, Tensor(np.zeros((4, 16))), Tensor(np.zeros(4)), True),
-            cag_fc1_expand=LinearSpec(4, 16, Tensor(np.zeros((16, 4))), Tensor(np.zeros(16)), True),
-            cag_fc2_squeeze=LinearSpec(16, 4, Tensor(np.zeros((4, 16))), Tensor(np.zeros(4)), True),
-            cag_fc2_expand=LinearSpec(4, 16, Tensor(np.zeros((16, 4))), Tensor(np.zeros(16)), True),
+            cag_fc1_squeeze=LinearSpec(16, 4, Tensor(np.zeros((4, 16))), Tensor(np.zeros(4))),
+            cag_fc1_expand=LinearSpec(4, 16, Tensor(np.zeros((16, 4))), Tensor(np.zeros(16))),
+            cag_fc2_squeeze=LinearSpec(16, 4, Tensor(np.zeros((4, 16))), Tensor(np.zeros(4))),
+            cag_fc2_expand=LinearSpec(4, 16, Tensor(np.zeros((16, 4))), Tensor(np.zeros(16))),
         )
         w = cag_weights(rand((1, 16, 4, 4), 41), zeroed)
         assert np.all(w.data == 0.5)

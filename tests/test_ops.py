@@ -1,6 +1,7 @@
 """Convolution, pooling, interpolation, and linear layers against their
 nested-loop reference implementations."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -21,12 +22,10 @@ from oracles import conv2d_grad_loops, conv2d_loops, global_avg_loops, global_ma
 NECK_POOLS = ((4, 4, 0), (2, 2, 0), (3, 2, 1), (1, 2, 0))
 
 
-def conv_spec(weight, bias=None, stride=1, padding=None):
+def conv_spec(weight, bias=None):
     out_c, in_c, k, _ = weight.shape
-    if padding is None:
-        padding = (k - 1) // 2
-    return ConvSpec(in_c, out_c, k, stride, padding, Tensor(weight),
-                    None if bias is None else Tensor(bias), bias is not None)
+    return ConvSpec(in_c, out_c, k, Tensor(weight),
+                    Tensor(np.zeros(out_c) if bias is None else bias))
 
 
 def identity_1x1(channels):
@@ -67,67 +66,71 @@ class TestConv2d:
         with pytest.raises(ConfigError, match="5.*3|3.*5"):
             conv2d(Tensor(np.zeros((1, 5, 4, 4))), spec)
 
-    def test_window_does_not_fit(self):
-        spec = conv_spec(np.ones((1, 1, 3, 3)), padding=0)
-        with pytest.raises(ShapeError):
-            conv2d(Tensor(np.zeros((1, 1, 2, 2))), spec)
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_empty_spatial_extent(self, k):
+        spec = conv_spec(np.ones((2, 3, k, k)))
+        for shape in ((1, 3, 0, 4), (1, 3, 4, 0)):
+            with pytest.raises(ShapeError, match="extents must be >= 1"):
+                conv2d(Tensor(np.zeros(shape)), spec)
 
-    def test_output_shape_formula_with_stride(self):
-        spec = conv_spec(np.ones((1, 1, 3, 3)), stride=2, padding=1)
-        out = conv2d(Tensor(np.zeros((1, 1, 7, 9))), spec)
-        assert out.shape == (1, 1, 4, 5)
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("h, w", [(1, 1), (2, 5), (8, 8)])
+    def test_tracer_extent_formula_holds(self, k, h, w):
+        # perfbench's tracer reads stride and padding to size each conv's output
+        spec = conv_spec(np.ones((2, 3, k, k)))
+        assert [f.name for f in dataclasses.fields(ConvSpec)] == [
+            "in_channels", "out_channels", "kernel", "weight", "bias"]
+        assert ConvSpec.stride == spec.stride == 1
+        assert spec.padding == (k - 1) // 2
+        for name in ("stride", "padding"):
+            with pytest.raises(AttributeError):
+                setattr(spec, name, 0)
+        out = conv2d(Tensor(np.zeros((1, 3, h, w))), spec)
+        assert out.shape[2:] == ((h + 2 * spec.padding - k) // spec.stride + 1,
+                                 (w + 2 * spec.padding - k) // spec.stride + 1) == (h, w)
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.integers(1, 3),
-           st.integers(1, 3), st.sampled_from([1, 3]), st.integers(1, 2),
-           st.integers(3, 6), st.integers(3, 6))
-    def test_property_matches_loop_oracle(self, seed, n, cin, cout, k, stride, h, w):
+           st.integers(1, 3), st.sampled_from([1, 3]), st.integers(3, 6), st.integers(3, 6))
+    def test_property_matches_loop_oracle(self, seed, n, cin, cout, k, h, w):
         rng = np.random.default_rng(seed)
         x = rng.uniform(-1, 1, (n, cin, h, w))
         weight = rng.uniform(-1, 1, (cout, cin, k, k))
         bias = rng.uniform(-1, 1, (cout,))
-        pad = (k - 1) // 2
-        expect = conv2d_loops(x, weight, bias, stride, pad)
-        got = conv2d(Tensor(x), conv_spec(weight, bias, stride=stride))
+        expect = conv2d_loops(x, weight, bias, 1, (k - 1) // 2)
+        got = conv2d(Tensor(x), conv_spec(weight, bias))
         np.testing.assert_allclose(got.data, expect, atol=1e-12)
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.integers(1, 3),
-           st.integers(1, 3), st.sampled_from([1, 3]), st.integers(1, 2),
-           st.booleans(), st.integers(3, 6), st.integers(3, 6))
-    def test_backward_matches_loop_oracle(self, seed, n, cin, cout, k, stride, padded, h, w):
+           st.integers(1, 3), st.sampled_from([1, 3]), st.integers(3, 6), st.integers(3, 6))
+    def test_backward_matches_loop_oracle(self, seed, n, cin, cout, k, h, w):
         rng = np.random.default_rng(seed)
-        pad = (k - 1) // 2 if padded else 0
         x = Tensor(rng.uniform(-1, 1, (n, cin, h, w)), requires_grad=True)
         weight = Tensor(rng.uniform(-1, 1, (cout, cin, k, k)), requires_grad=True)
         bias = Tensor(rng.uniform(-1, 1, (cout,)), requires_grad=True)
-        spec = ConvSpec(cin, cout, k, stride, pad, weight, bias, True)
-        out = conv2d(x, spec)
+        out = conv2d(x, ConvSpec(cin, cout, k, weight, bias))
         upstream = rng.uniform(-1, 1, out.shape)
         backward(sum_all(mul(out, Tensor(upstream))))
-        gx, gw, gb = conv2d_grad_loops(x.data, weight.data, upstream, stride, pad)
+        gx, gw, gb = conv2d_grad_loops(x.data, weight.data, upstream, 1, (k - 1) // 2)
         np.testing.assert_allclose(x.grad, gx, atol=1e-12)
         np.testing.assert_allclose(weight.grad, gw, atol=1e-12)
         np.testing.assert_allclose(bias.grad, gb, atol=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.integers(1, 3),
-           st.integers(1, 3), st.sampled_from([1, 3]), st.integers(1, 2),
-           st.booleans(), st.integers(3, 6), st.integers(3, 6))
-    def test_backward_skips_input_gradient_nobody_reads(self, seed, n, cin, cout, k, stride,
-                                                        padded, h, w):
+           st.integers(1, 3), st.sampled_from([1, 3]), st.integers(3, 6), st.integers(3, 6))
+    def test_backward_skips_input_gradient_nobody_reads(self, seed, n, cin, cout, k, h, w):
         rng = np.random.default_rng(seed)
-        pad = (k - 1) // 2 if padded else 0
         xd = rng.uniform(-1, 1, (n, cin, h, w))
         wd = rng.uniform(-1, 1, (cout, cin, k, k))
         bd = rng.uniform(-1, 1, (cout,))
-        oh, ow = (h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1
-        upstream = rng.uniform(-1, 1, (n, cout, oh, ow))
+        upstream = rng.uniform(-1, 1, (n, cout, h, w))
 
         def run(x_requires_grad):
             x = Tensor(xd, requires_grad=x_requires_grad)
             weight, bias = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
-            out = conv2d(x, ConvSpec(cin, cout, k, stride, pad, weight, bias, True))
+            out = conv2d(x, ConvSpec(cin, cout, k, weight, bias))
             backward(sum_all(mul(out, Tensor(upstream))))
             return x, weight, bias, out
 
@@ -137,34 +140,34 @@ class TestConv2d:
         assert out._grad_fn(upstream)[0] is None  # the input gradient is never formed
         assert np.array_equal(weight.grad, weight_ref.grad)
         assert np.array_equal(bias.grad, bias_ref.grad)
-        _, gw, gb = conv2d_grad_loops(xd, wd, upstream, stride, pad)
+        _, gw, gb = conv2d_grad_loops(xd, wd, upstream, 1, (k - 1) // 2)
         np.testing.assert_allclose(weight.grad, gw, atol=1e-12)
         np.testing.assert_allclose(bias.grad, gb, atol=1e-12)
 
 
 class TestConv3x3Shifted:
-    """3x3, stride-1, padding-1 convs whose output channels are below n*h*w
+    """3x3 convs whose output channels are below n*h*w
     run as nine shifted GEMMs over the flat padded input, with no im2col."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 3), st.integers(1, 3), st.integers(1, 8),
-           st.integers(1, 6), st.integers(1, 6), st.booleans(), st.booleans(),
+           st.integers(1, 6), st.integers(1, 6), st.booleans(),
            st.sampled_from([np.float32, np.float64]))
-    @example(0, 1, 2, 3, 1, 1, True, True, np.float64)  # 1x1 extent: o > n*h*w, im2col
-    @example(1, 2, 2, 3, 1, 2, True, True, np.float64)  # 1x2 extent: o < n*h*w, shifted
-    @example(2, 1, 3, 2, 2, 1, False, True, np.float32)  # o == n*h*w: im2col
-    def test_matches_loop_oracle_and_skips_im2col(self, seed, n, cin, cout, h, w, with_bias,
+    @example(0, 1, 2, 3, 1, 1, True, np.float64)  # 1x1 extent: o > n*h*w, im2col
+    @example(1, 2, 2, 3, 1, 2, True, np.float64)  # 1x2 extent: o < n*h*w, shifted
+    @example(2, 1, 3, 2, 2, 1, True, np.float32)  # o == n*h*w: im2col
+    def test_matches_loop_oracle_and_skips_im2col(self, seed, n, cin, cout, h, w,
                                                   x_requires_grad, dtype):
         rng = np.random.default_rng(seed)
         xd = rng.uniform(-1, 1, (n, cin, h, w)).astype(dtype)
         wd = rng.uniform(-1, 1, (cout, cin, 3, 3)).astype(dtype)
-        bd = rng.uniform(-1, 1, (cout,)).astype(dtype) if with_bias else None
+        bd = rng.uniform(-1, 1, (cout,)).astype(dtype)
         upstream = rng.uniform(-1, 1, (n, cout, h, w)).astype(dtype)
         shifted = cout < n * h * w
         x = Tensor(xd, requires_grad=x_requires_grad)
         weight = Tensor(wd, requires_grad=True)
-        bias = Tensor(bd, requires_grad=True) if with_bias else None
-        spec = ConvSpec(cin, cout, 3, 1, 1, weight, bias, with_bias)
+        bias = Tensor(bd, requires_grad=True)
+        spec = ConvSpec(cin, cout, 3, weight, bias)
 
         gathers = []
 
@@ -182,15 +185,14 @@ class TestConv3x3Shifted:
         assert len(gathers) == (0 if shifted else 1)
 
         # the oracles run in float64 on the same (possibly float32) values
-        f64 = lambda a: None if a is None else a.astype(np.float64)
+        f64 = lambda a: a.astype(np.float64)
         expect = conv2d_loops(f64(xd), f64(wd), f64(bd), 1, 1)
         gx, gw, gb = conv2d_grad_loops(f64(xd), f64(wd), f64(upstream), 1, 1)
         atol = 1e-12 if dtype == np.float64 else 1e-5
         assert out.dtype == dtype
         np.testing.assert_allclose(out.data, expect, atol=atol)
         np.testing.assert_allclose(weight.grad, gw, atol=atol)
-        if with_bias:
-            np.testing.assert_allclose(bias.grad, gb, atol=atol)
+        np.testing.assert_allclose(bias.grad, gb, atol=atol)
         if x_requires_grad:
             np.testing.assert_allclose(x.grad, gx, atol=atol)
         else:
@@ -349,13 +351,13 @@ class TestInterpolate:
 
 class TestLinear:
     def test_identity_weights(self):
-        spec = LinearSpec(3, 3, Tensor(np.eye(3)), Tensor(np.zeros(3)), True)
+        spec = LinearSpec(3, 3, Tensor(np.eye(3)), Tensor(np.zeros(3)))
         x = Tensor(np.array([1.0, -2.0, 3.0]))
         assert np.array_equal(linear(x, spec).data, x.data)
 
     def test_zero_input_gives_bias(self):
         b = np.array([0.5, -0.5])
-        spec = LinearSpec(3, 2, Tensor(np.zeros((2, 3))), Tensor(b), True)
+        spec = LinearSpec(3, 2, Tensor(np.zeros((2, 3))), Tensor(b))
         assert np.array_equal(linear(Tensor(np.zeros(3)), spec).data, b)
 
     def test_random_case_matches_dot_oracle(self):
@@ -363,20 +365,21 @@ class TestLinear:
         w = rng.uniform(-1, 1, (4, 6))
         b = rng.uniform(-1, 1, (4,))
         x = rng.uniform(-1, 1, (6,))
-        spec = LinearSpec(6, 4, Tensor(w), Tensor(b), True)
+        spec = LinearSpec(6, 4, Tensor(w), Tensor(b))
         np.testing.assert_allclose(linear(Tensor(x), spec).data,
                                    linear_loops(x, w, b), atol=1e-12)
 
     def test_batch_rows_match_dot_oracle(self):
         rng = np.random.default_rng(12)
         w = rng.uniform(-1, 1, (3, 5))
+        b = rng.uniform(-1, 1, (3,))
         x = rng.uniform(-1, 1, (4, 5))
-        spec = LinearSpec(5, 3, Tensor(w), None, False)
+        spec = LinearSpec(5, 3, Tensor(w), Tensor(b))
         np.testing.assert_allclose(linear(Tensor(x), spec).data,
-                                   linear_loops(x, w, None), atol=1e-12)
+                                   linear_loops(x, w, b), atol=1e-12)
 
     def test_length_mismatch(self):
-        spec = LinearSpec(3, 2, Tensor(np.zeros((2, 3))), None, False)
+        spec = LinearSpec(3, 2, Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
         with pytest.raises(ConfigError):
             linear(Tensor(np.zeros(4)), spec)
 
@@ -385,11 +388,9 @@ class TestParamCounts:
     def test_conv_param_count(self):
         spec = conv_spec(np.zeros((4, 3, 3, 3)), np.zeros(4))
         assert spec.param_count == 4 * 3 * 9 + 4
-        no_bias = conv_spec(np.zeros((4, 3, 3, 3)))
-        assert no_bias.param_count == 4 * 3 * 9
 
     def test_linear_param_count(self):
-        spec = LinearSpec(6, 4, Tensor(np.zeros((4, 6))), Tensor(np.zeros(4)), True)
+        spec = LinearSpec(6, 4, Tensor(np.zeros((4, 6))), Tensor(np.zeros(4)))
         assert spec.param_count == 24 + 4
 
 

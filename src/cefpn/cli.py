@@ -56,9 +56,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     values: dict = {}
     if args.config is not None:
         try:
-            values.update(json.loads(args.config.read_text()))
+            loaded = json.loads(args.config.read_text())
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config file {args.config}: {e}") from e
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON object, "
+                              f"got {type(loaded).__name__}")
+        values.update(loaded)
     for field in dataclasses.fields(RunConfig):
         flag = getattr(args, field.name)
         if flag is not None:

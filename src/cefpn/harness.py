@@ -24,6 +24,10 @@ from .tensor import DTYPES
 
 SUITES = ("forward", "gradcheck", "cost", "all")
 
+# RunConfig's field annotations (strings under postponed evaluation) and the
+# types they admit; a bool is not taken for an int.
+_FIELD_TYPES = {"int": int, "str": str, "bool": bool}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -31,7 +35,10 @@ class RunConfig:
 
     Defaults are the desk-scale setup (width 16, 64x64 input) that every
     check can afford; pass base_channel=256 and attention_reduction=32 for
-    reference-scale cost accounting.
+    reference-scale cost accounting. Construction raises ``ConfigError``
+    for a field of the wrong type or value, and for float32 with a suite
+    that runs the gradcheck, so every config built runs in every suite it
+    selects.
     """
 
     seed: int = 0
@@ -48,6 +55,12 @@ class RunConfig:
     backbone_pattern: str = "noise"
 
     def __post_init__(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _FIELD_TYPES[f.type]
+            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+                raise ConfigError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         check_geometry(self.height, self.width)
         if self.batch < 1:
             raise ConfigError(f"batch must be >= 1, got {self.batch}")
@@ -57,6 +70,9 @@ class RunConfig:
             raise ConfigError(f"mac convention must be 1 or 2, got {self.mac_convention}")
         if self.precision not in DTYPES:
             raise ConfigError(f"precision must be one of {tuple(DTYPES)}, got {self.precision!r}")
+        if self.precision != "float64" and self.suite in ("gradcheck", "all"):
+            raise ConfigError(f"suite {self.suite} runs the gradcheck, which requires float64 "
+                              f"precision; rerun with precision=float64")
         if self.backbone_pattern not in PATTERNS:
             raise ConfigError(f"backbone pattern must be one of {PATTERNS}, got {self.backbone_pattern!r}")
         self.neck_config()  # validates width/scheme/reduction combinations
@@ -146,9 +162,8 @@ def run_forward(config: RunConfig) -> SuiteReport:
 
 
 def run_gradcheck(config: RunConfig) -> SuiteReport:
-    """Finite-difference suite: every engine op plus the end-to-end neck."""
-    if config.precision != "float64":
-        raise ConfigError("gradcheck requires float64 precision; rerun with precision=float64")
+    """Finite-difference suite: every engine op plus the end-to-end neck,
+    always in float64."""
     per_op = op_gradient_suite(seed=config.seed)
     per_op["linear_exact"] = linear_only_error(seed=config.seed)
     e2e = end_to_end_gradcheck(config.neck_config(), config.height, config.width,

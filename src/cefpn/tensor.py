@@ -9,7 +9,10 @@ Every operation is a pure function from input tensors to a fresh output
 tensor; the op graph is recorded on the outputs so that ``backward`` can
 push gradients from a scalar loss to every leaf marked ``requires_grad``.
 An op none of whose inputs requires grad records nothing, so inference over
-such tensors holds no graph.
+such tensors holds no graph. ``backward`` consumes the graph it walks: each
+intermediate tensor, its gradient and what its op saved are freed once its
+last consumer has run, so a training step peaks at little more than its
+parameter gradients. Only leaves keep ``.grad``.
 
 Ops run inside a ``scope`` carry its module path (``sce.local_3x3``,
 ``top_down.add_F3``): a shape or configuration error leaving the scope names
@@ -185,6 +188,8 @@ class GradTape:
     """The op graph below one root, in topological (leaves-first) order.
 
     One tape per forward pass; tapes are not shared across concurrent passes.
+    A tape holds its nodes alive but not their graph: once ``backward`` has
+    consumed it, a new tape of the loss is just the loss.
     """
 
     def __init__(self, root: Tensor):
@@ -192,13 +197,21 @@ class GradTape:
         self.nodes = _topo_order(root)
 
     def leaves(self) -> list[Tensor]:
-        """Nodes with no recorded parents: inputs, parameters, and the
-        outputs of ops none of whose inputs required grad."""
-        return [n for n in self.nodes if not n._parents]
+        """Nodes with no ``grad_fn``: inputs, parameters, and the outputs of
+        ops none of whose inputs required grad. A node ``backward`` has
+        consumed is still no leaf."""
+        return [n for n in self.nodes if n._grad_fn is None]
+
+
+def _consumed(g: np.ndarray) -> tuple:
+    """Stands in for the freed ``grad_fn`` of a node ``backward`` has passed,
+    so a consumed node is told apart from a leaf (``None``)."""
+    raise ContractError("backward through a consumed graph")
 
 
 def backward(loss: Tensor) -> None:
-    """Fill ``.grad`` on every requires_grad tensor reachable from ``loss``.
+    """Fill ``.grad`` on every requires_grad leaf reachable from ``loss``,
+    consuming the graph as it goes.
 
     Gradients are overwritten, not accumulated across calls; within one call
     fan-out contributions sum as usual. The first contribution to a tensor is
@@ -206,8 +219,21 @@ def backward(loss: Tensor) -> None:
     Every stored gradient is read-only, because one buffer may be shared by
     several tensors (both parents of ``add`` receive the same array). Each
     ``grad_fn`` must return, per parent, ``None`` or an array of exactly that
-    parent's shape and dtype; anything else raises ``ContractError``, as does
-    a loss that does not require grad (no gradient could reach any tensor).
+    parent's shape and dtype; anything else raises ``ContractError`` naming
+    the op, as does a loss that does not require grad (no gradient could
+    reach any tensor).
+
+    Nodes are popped from the loss down. Before a node's ``grad_fn`` runs,
+    the node drops it (for the ``_consumed`` sentinel), its parents and its
+    gradient; ``_op`` and ``data`` stay. So once its last consumer has run,
+    each intermediate tensor, its gradient and whatever its op saved for
+    backward (padded input, relu mask, max-pool argmax) are freed unless the
+    caller still holds the tensor. Afterwards:
+
+    - ``.grad`` is kept on leaves only (tensors recorded with no parents);
+    - a later ``backward`` whose graph reaches a consumed node, whether
+      through the same loss or a new op built over a consumed output, raises
+      ``ContractError`` naming that node's op and changes no gradient.
     """
     if loss.data.size != 1:
         raise ContractError(f"loss must be scalar, got shape {loss.shape}")
@@ -216,25 +242,34 @@ def backward(loss: Tensor) -> None:
                             "from has requires_grad=True")
     nodes = _topo_order(loss)
     for node in nodes:
+        if node._grad_fn is _consumed:
+            raise ContractError(f"{node._op}: its graph was consumed by an earlier backward; "
+                                f"run the forward again")
+    for node in nodes:
         node.grad = None
     loss.grad = _freeze(np.ones_like(loss.data))
-    for node in reversed(nodes):
-        if node._grad_fn is None or node.grad is None:
+    while nodes:
+        node = nodes.pop()
+        grad_fn, parents, grad = node._grad_fn, node._parents, node.grad
+        if grad_fn is None:
             continue
-        if not node.requires_grad:
-            continue
-        parent_grads = node._grad_fn(node.grad)
-        for parent, g in zip(node._parents, parent_grads):
-            if g is None or not parent.requires_grad:
-                continue
-            if g.shape != parent.shape or g.dtype != parent.dtype:
-                raise ContractError(
-                    f"{node._op}: backward returned a {g.dtype.name} gradient of shape "
-                    f"{g.shape} for a {parent.dtype.name} input of shape {parent.shape}")
-            if parent.grad is not None:
-                g = parent.grad + g
-            g.flags.writeable = False
-            parent.grad = g
+        node._grad_fn, node._parents, node.grad = _consumed, (), None
+        if grad is not None and node.requires_grad:
+            parent_grads = grad_fn(grad)
+            grad_fn = grad = None
+            for parent, g in zip(parents, parent_grads):
+                if g is None or not parent.requires_grad:
+                    continue
+                if g.shape != parent.shape or g.dtype != parent.dtype:
+                    raise ContractError(
+                        f"{node._op}: backward returned a {g.dtype.name} gradient of shape "
+                        f"{g.shape} for a {parent.dtype.name} input of shape {parent.shape}")
+                if parent.grad is not None:
+                    g = parent.grad + g
+                g.flags.writeable = False
+                parent.grad = g
+        # drop this node's closure, parents and gradient before the next pops
+        grad_fn = parents = grad = parent_grads = parent = g = None
 
 
 # ---------------------------------------------------------------------------

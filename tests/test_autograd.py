@@ -69,15 +69,16 @@ def test_numeric_forwards_build_no_graph():
     rng = np.random.default_rng(2)
     x = Tensor(rng.uniform(-1, 1, (1, 2, 3, 3)), requires_grad=True)
     w = Tensor(rng.uniform(-1, 1, (1, 2, 3, 3)), requires_grad=True)
-    losses = []
+    losses, graphs = [], []
 
     def loss_fn():
         losses.append(sum_all(mul(relu(x), w)))
+        graphs.append(losses[-1]._parents != ())  # before backward consumes it
         return losses[-1]
 
     assert check_loss_gradients(loss_fn, [x, w], samples=5) < DEFAULT_THRESHOLD
     analytic, numeric = losses[0], losses[1:]
-    assert analytic.requires_grad and analytic._parents != ()
+    assert analytic.requires_grad and graphs[0]
     assert len(numeric) == 2 * 5
     for loss in numeric:
         assert loss._parents == () and not loss.requires_grad

@@ -6,13 +6,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from cefpn import ConfigError, ConvSpec, NeckParams, RunConfig, Tensor, cefpn_forward, \
     init_neck_params, run_cost, run_forward, run_gradcheck, synthetic_backbone
 from cefpn.backbone import ramp_level
 from cefpn.cli import _load_config, build_parser, main
 from cefpn.gradcheck import DEFAULT_THRESHOLD
-from cefpn.harness import _level_stats
+from cefpn.harness import SUITES, SuiteReport, _level_stats, run_suites
 import cefpn.harness
 import cefpn.neck
 
@@ -86,6 +88,60 @@ class TestRunConfig:
     def test_round_trips_through_dict(self):
         cfg = RunConfig(seed=9, ssf_scheme="a", height=128)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize("field, value", [
+        ("height", "64"), ("batch", 1.5), ("seed", True), ("base_channel", 16.0),
+        ("mac_convention", True), ("include_f5_p5", 1), ("ssf_scheme", None),
+        ("precision", 64), ("suite", ["all"]), ("backbone_pattern", b"noise")])
+    def test_field_of_wrong_type_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be"):
+            RunConfig(**{field: value})
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed"):
+            RunConfig(seed=-1)
+
+    @pytest.mark.parametrize("suite", ["gradcheck", "all"])
+    def test_single_precision_refused_where_gradcheck_runs(self, suite):
+        with pytest.raises(ConfigError, match="float64"):
+            RunConfig(suite=suite, precision="float32")
+
+    @pytest.mark.parametrize("suite", ["forward", "cost"])
+    def test_single_precision_accepted_elsewhere(self, suite):
+        assert RunConfig(suite=suite, precision="float32").precision == "float32"
+
+
+# Valid values for every RunConfig field at a scale each suite runs cheaply,
+# and values of the wrong type to swap in for up to two of them.
+_VALID_FIELDS = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 32), "base_channel": st.sampled_from([4, 8, 16, 32]),
+    "ssf_scheme": st.sampled_from(["a", "b", "c"]),
+    "attention_reduction": st.sampled_from([1, 2, 4, 8]), "include_f5_p5": st.booleans(),
+    "height": st.sampled_from([64, 128]), "width": st.sampled_from([64, 128]),
+    "batch": st.integers(1, 2), "suite": st.sampled_from(SUITES),
+    "mac_convention": st.sampled_from([1, 2]),
+    "precision": st.sampled_from(["float64", "float32"]),
+    "backbone_pattern": st.sampled_from(["noise", "ramp"])})
+_WRONG_VALUES = st.one_of(st.booleans(), st.none(), st.integers(-2, 2),
+                          st.floats(0, 128), st.sampled_from(["64", "1", "a", "all", ""]),
+                          st.lists(st.integers(0, 2), max_size=1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_VALID_FIELDS, st.dictionaries(st.sampled_from(sorted(RunConfig.__dataclass_fields__)),
+                                      _WRONG_VALUES, max_size=2))
+def test_every_accepted_config_runs_every_selected_suite(fields, swapped):
+    fields.update(swapped)
+    try:
+        config = RunConfig(**fields)
+    except ConfigError:
+        event("rejected")
+        return
+    event(f"ran suite {config.suite}")
+    reports = run_suites(config)
+    wanted = ["forward", "gradcheck", "cost"] if config.suite == "all" else [config.suite]
+    assert [r.suite for r in reports] == wanted
+    assert all(isinstance(r, SuiteReport) for r in reports)
 
 
 class TestRunForward:
@@ -312,6 +368,28 @@ class TestCli:
         assert code == 1
         assert json.loads(captured.out)["levels"]["R2"]["min"] is None
         assert "forward" in captured.err
+
+    @pytest.mark.parametrize("config, argv", [
+        ({"height": "64"}, ["--suite", "cost"]),
+        ({"batch": 1.5}, ["--suite", "forward"]),
+        ({"seed": -1}, ["--suite", "forward"]),
+        ([1, 2], ["--suite", "cost"]),
+        (None, ["--suite", "all", "--precision", "float32"])])
+    def test_rejected_config_runs_no_suite(self, config, argv, tmp_path, monkeypatch, capsys):
+        ran = []
+        for name in ("run_forward", "run_gradcheck", "run_cost"):
+            monkeypatch.setattr(cefpn.harness, name, lambda *a, name=name: ran.append(name))
+        if config is not None:
+            cfg_file = tmp_path / "cfg.json"
+            cfg_file.write_text(json.dumps(config))
+            argv = ["--config", str(cfg_file), *argv]
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and ran == []
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
 
     def test_single_precision_gradcheck_refused(self, capsys):
         code = main(["--suite", "gradcheck", "--precision", "float32"])

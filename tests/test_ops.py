@@ -131,13 +131,14 @@ class TestConv2d:
             x = Tensor(xd, requires_grad=x_requires_grad)
             weight, bias = Tensor(wd, requires_grad=True), Tensor(bd, requires_grad=True)
             out = conv2d(x, ConvSpec(cin, cout, k, weight, bias))
+            grad_fn = out._grad_fn  # backward consumes the graph
             backward(sum_all(mul(out, Tensor(upstream))))
-            return x, weight, bias, out
+            return x, weight, bias, grad_fn
 
-        x, weight, bias, out = run(False)
+        x, weight, bias, grad_fn = run(False)
         _, weight_ref, bias_ref, _ = run(True)
         assert x.grad is None
-        assert out._grad_fn(upstream)[0] is None  # the input gradient is never formed
+        assert grad_fn(upstream)[0] is None  # the input gradient is never formed
         assert np.array_equal(weight.grad, weight_ref.grad)
         assert np.array_equal(bias.grad, bias_ref.grad)
         _, gw, gb = conv2d_grad_loops(xd, wd, upstream, 1, (k - 1) // 2)
@@ -181,6 +182,7 @@ class TestConv3x3Shifted:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ops, "_gather_windows", gather)
             out = conv2d(x, spec)
+            grad_fn = out._grad_fn  # backward consumes the graph
             backward(sum_all(mul(out, Tensor(upstream))))
         assert len(gathers) == (0 if shifted else 1)
 
@@ -197,7 +199,7 @@ class TestConv3x3Shifted:
             np.testing.assert_allclose(x.grad, gx, atol=atol)
         else:
             assert x.grad is None
-            assert out._grad_fn(upstream)[0] is None
+            assert grad_fn(upstream)[0] is None
 
     def test_graph_keeps_the_padded_input_not_cols(self):
         # P2-like layer: the 9x cols would be 9 MiB, the padded input ~1.06 MiB

@@ -1,13 +1,16 @@
 """Tensor value semantics, layout contract, and the elementwise ops."""
 
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cefpn import GradTape, ShapeError, Tensor, add, backward, broadcast_spatial, \
-    channel_slice, mul, mul_channelwise, relu, scale, sigmoid, squeeze_spatial, sum_all
-from cefpn.tensor import _freeze
+from cefpn import ContractError, GradTape, NeckConfig, ShapeError, Tensor, add, backward, \
+    broadcast_spatial, cefpn_forward, channel_slice, init_neck_params, mul, mul_channelwise, \
+    relu, scale, sigmoid, squeeze_spatial, sum_all, synthetic_backbone
+from cefpn.tensor import _freeze, _topo_order
 
 
 def rand(shape, seed=0, requires_grad=False):
@@ -213,3 +216,93 @@ class TestBackwardBasics:
         with pytest.raises(ContractError, match="does not require grad"):
             backward(sum_all(sigmoid(x)))
         assert x.grad is None
+
+
+def desk_loss(scheme="c", include_f5_p5=True, seed=4):
+    """A desk-scale neck step's loss (the sum of every output level) and its
+    parameters."""
+    config = NeckConfig(base_channel=16, ssf_scheme=scheme, attention_reduction=4,
+                        include_f5_p5=include_f5_p5)
+    params = init_neck_params(config, seed)
+    out = cefpn_forward(synthetic_backbone(16, 64, 64, seed=seed + 1), params, config)
+    loss = sum_all(out.r2)
+    for t in (out.r3, out.r4, out.r5):
+        loss = add(loss, sum_all(t))
+    return loss, params
+
+
+def keep_graph_backward(loss):
+    """The accumulation loop of ``backward`` from before it consumed its
+    graph: every node keeps its closure, parents and gradient."""
+    nodes = _topo_order(loss)
+    for node in nodes:
+        node.grad = None
+    loss.grad = _freeze(np.ones_like(loss.data))
+    for node in reversed(nodes):
+        if node._grad_fn is None or node.grad is None:
+            continue
+        if not node.requires_grad:
+            continue
+        parent_grads = node._grad_fn(node.grad)
+        for parent, g in zip(node._parents, parent_grads):
+            if g is None or not parent.requires_grad:
+                continue
+            if parent.grad is not None:
+                g = parent.grad + g
+            g.flags.writeable = False
+            parent.grad = g
+
+
+class TestBackwardConsumesGraph:
+    def test_grad_kept_on_leaves_only(self):
+        loss, params = desk_loss()
+        tape = GradTape(loss)
+        leaves = {id(t) for t in tape.leaves()}
+        assert len(leaves) < len(tape.nodes)
+        backward(loss)
+        assert GradTape(loss).nodes == [loss]
+        assert {id(t) for t in tape.leaves()} == leaves
+        for node in tape.nodes:
+            if id(node) in leaves:
+                assert (node.grad is not None) == node.requires_grad, node._op
+            else:
+                assert node.grad is None and node._parents == (), node._op
+        for name, t in params.named_parameters():
+            assert t.grad is not None and t.grad.shape == t.shape, name
+
+    def test_second_backward_names_the_consumed_op(self):
+        x = rand((1, 2, 3, 3), seed=20, requires_grad=True)
+        out = relu(x)
+        loss = sum_all(out)
+        backward(loss)
+        first = x.grad
+        with pytest.raises(ContractError, match="sum_all"):
+            backward(loss)
+        with pytest.raises(ContractError, match="relu"):
+            backward(sum_all(out))
+        with pytest.raises(ContractError, match="relu"):
+            backward(add(sum_all(x), sum_all(out)))
+        assert x.grad is first  # a refused backward changes no gradient
+
+    def test_intermediate_freed_by_refcount(self):
+        x = rand((1, 2, 3, 3), seed=21, requires_grad=True)
+        mid = relu(x)
+        alive = weakref.ref(mid)
+        loss = sum_all(mid)
+        del mid
+        assert alive() is not None  # only the graph holds it
+        backward(loss)
+        assert alive() is None
+        assert np.array_equal(x.grad, (x.data > 0).astype(x.dtype))
+
+    @pytest.mark.parametrize("include_f5_p5", [False, True])
+    @pytest.mark.parametrize("scheme", ["a", "b", "c"])
+    def test_gradients_byte_identical_to_keep_graph_loop(self, scheme, include_f5_p5):
+        loss, params = desk_loss(scheme, include_f5_p5)
+        keep_graph_backward(loss)
+        want = {name: t.grad for name, t in params.named_parameters()}
+        loss, params = desk_loss(scheme, include_f5_p5)
+        backward(loss)
+        for name, t in params.named_parameters():
+            assert t.grad.dtype == want[name].dtype, name
+            assert t.grad.tobytes() == want[name].tobytes(), name

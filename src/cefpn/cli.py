@@ -19,9 +19,12 @@ import json
 import sys
 from pathlib import Path
 
+from .backbone import PATTERNS
+from .cost import MAC_CONVENTIONS
 from .errors import ConfigError, ContractError, ShapeError
 from .harness import SUITES, RunConfig, run_suites
 from .neck import SSF_SCHEMES
+from .tensor import DTYPES
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,11 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=int, default=None)
     p.add_argument("--batch", type=int, default=None)
     p.add_argument("--suite", choices=SUITES, default=None)
-    p.add_argument("--mac-convention", type=int, choices=(1, 2), default=None,
+    p.add_argument("--mac-convention", type=int, choices=MAC_CONVENTIONS, default=None,
                    dest="mac_convention")
-    p.add_argument("--precision", choices=("float64", "float32"), default=None)
-    p.add_argument("--backbone", choices=("noise", "ramp"), default=None,
-                   dest="backbone_pattern")
+    p.add_argument("--precision", choices=tuple(DTYPES), default=None)
+    p.add_argument("--backbone", choices=PATTERNS, default=None, dest="backbone_pattern")
     p.add_argument("--include-f5-p5", action="store_const", const=True, default=None,
                    dest="include_f5_p5")
     p.add_argument("--out", type=Path, default=None,
@@ -74,10 +76,6 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    try:
         reports = run_suites(config)
     except (ConfigError, ShapeError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)

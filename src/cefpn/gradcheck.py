@@ -38,7 +38,7 @@ _REL_FLOOR = 1e-6
 _NOISE_FLOOR_COEFF = 1e-4
 
 
-def relative_error(analytic: float, numeric: float, floor: float = _REL_FLOOR) -> float:
+def relative_error(analytic: float, numeric: float, floor: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
 
 
@@ -67,11 +67,11 @@ def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
     """Max relative error between analytic and numeric gradients.
 
     ``loss_fn`` must rebuild the graph from the given leaf tensors on every
-    call. When ``samples`` is given, that many scalar coordinates are drawn
-    without replacement across all leaves; otherwise every coordinate is
-    checked. The numeric forwards run with every leaf's ``requires_grad``
-    off, so they build no graph; each leaf's flag is restored on return,
-    also when ``loss_fn`` raises.
+    call. When ``samples`` is given, ``rng`` draws that many scalar
+    coordinates without replacement across all leaves; otherwise every
+    coordinate is checked. The numeric forwards run with every leaf's
+    ``requires_grad`` off, so they build no graph; each leaf's flag is
+    restored on return, also when ``loss_fn`` raises.
     """
     for leaf in leaves:
         if leaf.dtype != np.float64:
@@ -84,8 +84,6 @@ def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
     if samples is None or samples >= total:
         picks = np.arange(total)
     else:
-        if rng is None:
-            rng = np.random.default_rng(0)
         picks = rng.choice(total, size=samples, replace=False)
         picks.sort()
     bounds = np.cumsum([0] + sizes)
@@ -107,12 +105,11 @@ def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
     return worst
 
 
-def _distinct(rng: np.random.Generator, shape: tuple[int, ...],
-              low: float = -1.0, high: float = 1.0) -> Tensor:
-    """Random tensor whose values are pairwise separated and bounded away
-    from zero, so max/relu gradients are well defined under perturbation."""
+def _distinct(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
+    """Random tensor in (-1, 1) whose values are pairwise separated and bounded
+    away from zero, so max/relu gradients are well defined under perturbation."""
     size = int(np.prod(shape))
-    grid = np.linspace(low, high, 2 * size + 1)[1::2]  # excludes 0 and endpoints
+    grid = np.linspace(-1.0, 1.0, 2 * size + 1)[1::2]  # excludes 0 and endpoints
     vals = rng.permutation(grid)[:size]
     return Tensor(vals.reshape(shape), requires_grad=True)
 
@@ -171,7 +168,7 @@ def op_gradient_suite(seed: int = 0) -> dict[str, float]:
     run("add", [xa, xb], lambda: add(xa, xb))
     run("mul", [xa, xb], lambda: mul(xa, xb))
 
-    w = _distinct(rng, (2,))
+    w = _distinct(rng, (1, 2))
     run("mul_channelwise", [xa, w], lambda: mul_channelwise(xa, w))
     run("scale", [xa], lambda: scale(xa, 0.773))
 
@@ -195,9 +192,9 @@ def linear_only_error(seed: int = 0) -> float:
     """Worst error for a lone fully connected layer; the map is exactly
     linear, so central differences are exact up to roundoff."""
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.uniform(-1, 1, size=(8,)), requires_grad=True)
+    x = Tensor(rng.uniform(-1, 1, size=(1, 8)), requires_grad=True)
     spec = LinearSpec.seeded(rng, 8, 5)
-    probe = _probe(rng, (5,))
+    probe = _probe(rng, (1, 5))
     loss_fn = lambda: sum_all(mul(linear(x, spec), probe))
     return check_loss_gradients(loss_fn, [x, spec.weight, spec.bias])
 

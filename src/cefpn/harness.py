@@ -67,7 +67,8 @@ class RunConfig:
         if self.suite not in SUITES:
             raise ConfigError(f"suite must be one of {SUITES}, got {self.suite!r}")
         if self.mac_convention not in MAC_CONVENTIONS:
-            raise ConfigError(f"mac convention must be 1 or 2, got {self.mac_convention}")
+            raise ConfigError(f"mac convention must be one of {MAC_CONVENTIONS}, "
+                              f"got {self.mac_convention}")
         if self.precision not in DTYPES:
             raise ConfigError(f"precision must be one of {tuple(DTYPES)}, got {self.precision!r}")
         if self.precision != "float64" and self.suite in ("gradcheck", "all"):
@@ -162,8 +163,13 @@ def run_forward(config: RunConfig) -> SuiteReport:
 
 
 def run_gradcheck(config: RunConfig) -> SuiteReport:
-    """Finite-difference suite: every engine op plus the end-to-end neck,
-    always in float64."""
+    """Finite-difference suite: every engine op plus the end-to-end neck.
+
+    The checks run in float64 only; a config of any other precision raises
+    ``ConfigError``, so no report echoes a precision it did not run at.
+    """
+    if config.precision != "float64":
+        raise ConfigError(f"the gradcheck requires float64 precision, got {config.precision}")
     per_op = op_gradient_suite(seed=config.seed)
     per_op["linear_exact"] = linear_only_error(seed=config.seed)
     e2e = end_to_end_gradcheck(config.neck_config(), config.height, config.width,

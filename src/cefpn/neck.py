@@ -10,8 +10,8 @@ wide. Three mechanisms are layered on the classic top-down pyramid:
 * sub-pixel context enhancement (SCE): three parallel pathways over C5
   (local 3x3 + 2x shuffle, pooled 1x1 + 4x shuffle, global pooled broadcast)
   summed into a context map at stride 16;
-* channel attention guidance (CAG): one weight vector, computed from the
-  integration map, rescales the channels of every output level.
+* channel attention guidance (CAG): one weight vector per image, computed
+  from the integration map, rescales the channels of every output level.
 
 F5/P5 are not built by default; the fifth output level is a parameter-free
 stride-2 subsample of P4.
@@ -30,7 +30,6 @@ from .ops import ConvSpec, LinearSpec, conv2d, global_avg_pool, global_max_pool,
 from .tensor import Tensor, _record, add, broadcast_spatial, channel_slice, \
     mul_channelwise, relu, scale, scope, sigmoid, squeeze_spatial
 
-STRIDES = (4, 8, 16, 32)
 SSF_SCHEMES = ("a", "b", "c")
 
 
@@ -150,10 +149,6 @@ class BackbonePyramid:
     def level(self, i: int) -> Tensor:
         return {2: self.c2, 3: self.c3, 4: self.c4, 5: self.c5}[i]
 
-    @property
-    def strides(self) -> tuple[int, ...]:
-        return STRIDES
-
 
 @dataclass
 class NeckParams:
@@ -190,10 +185,6 @@ class NeckParams:
         for name, _module, spec in self.named_layers():
             yield f"{name}.weight", spec.weight
             yield f"{name}.bias", spec.bias
-
-    def scalar_count(self) -> int:
-        """Number of scalars actually allocated across all parameter tensors."""
-        return sum(t.size for _name, t in self.named_parameters())
 
 
 def init_neck_params(config: NeckConfig, seed: int, dtype=np.float64,
@@ -245,10 +236,6 @@ class PyramidOutputs:
 
     def levels(self) -> dict[int, Tensor]:
         return {2: self.r2, 3: self.r3, 4: self.r4, 5: self.r5}
-
-    @property
-    def strides(self) -> tuple[int, ...]:
-        return STRIDES
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +413,8 @@ def cag_weights(integration: Tensor, params: NeckParams) -> Tensor:
 
 
 def cag_apply(pyramid_level: Tensor, weights: Tensor) -> Tensor:
-    """Scale every channel of one pyramid level by the shared weight vector."""
+    """Scale every channel of one (n, c, h, w) pyramid level by the (n, c)
+    attention weights: each image by its own weight vector."""
     return mul_channelwise(pyramid_level, weights)
 
 

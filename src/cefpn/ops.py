@@ -81,8 +81,9 @@ class ConvSpec:
 
     @classmethod
     def seeded(cls, rng: np.random.Generator, in_channels: int, out_channels: int,
-               kernel: int, dtype=np.float64, requires_grad: bool = True) -> "ConvSpec":
-        draw = lambda shape, fan_in: uniform_init(rng, shape, fan_in, dtype, requires_grad)
+               kernel: int) -> "ConvSpec":
+        """A float64 layer that requires grad, drawn from ``rng``."""
+        draw = lambda shape, fan_in: uniform_init(rng, shape, fan_in, np.float64)
         return cls._made(draw, in_channels, out_channels, kernel)
 
     @classmethod
@@ -91,13 +92,6 @@ class ConvSpec:
         fan_in = in_channels * kernel * kernel
         weight = make((out_channels, in_channels, kernel, kernel), fan_in)
         return cls(in_channels, out_channels, kernel, weight, make((out_channels,), fan_in))
-
-    @property
-    def param_count(self) -> int:
-        return self.out_channels * (self.in_channels * self.kernel * self.kernel + 1)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
 
 
 @dataclass(frozen=True)
@@ -117,9 +111,9 @@ class LinearSpec:
             raise ConfigError("linear bias must be a vector of length out_features")
 
     @classmethod
-    def seeded(cls, rng: np.random.Generator, in_features: int, out_features: int,
-               dtype=np.float64, requires_grad: bool = True) -> "LinearSpec":
-        draw = lambda shape, fan_in: uniform_init(rng, shape, fan_in, dtype, requires_grad)
+    def seeded(cls, rng: np.random.Generator, in_features: int, out_features: int) -> "LinearSpec":
+        """A float64 layer that requires grad, drawn from ``rng``."""
+        draw = lambda shape, fan_in: uniform_init(rng, shape, fan_in, np.float64)
         return cls._made(draw, in_features, out_features)
 
     @classmethod
@@ -127,13 +121,6 @@ class LinearSpec:
         """The layer with its weight, then its bias, from ``make(shape, fan_in)``."""
         weight = make((out_features, in_features), in_features)
         return cls(in_features, out_features, weight, make((out_features,), in_features))
-
-    @property
-    def param_count(self) -> int:
-        return self.out_features * (self.in_features + 1)
-
-    def parameters(self) -> list[Tensor]:
-        return [self.weight, self.bias]
 
 
 def _pad(a: np.ndarray, p: int, fill: float = 0.0) -> np.ndarray:
@@ -373,20 +360,14 @@ def interpolate_nearest(x: Tensor, scale: int) -> Tensor:
 
 
 def linear(x: Tensor, spec: LinearSpec) -> Tensor:
-    """y = W x + b for a vector (in,) or a batch of vectors (n, in)."""
-    if x.data.ndim not in (1, 2):
-        raise ShapeError(f"linear: input must be a vector or batch of vectors, got shape {x.shape}")
-    if x.shape[-1] != spec.in_features:
+    """y = x Wᵀ + b for a batch of row vectors x of shape (n, in)."""
+    if x.data.ndim != 2:
+        raise ShapeError(f"linear: input must be a batch of vectors (n, in), got shape {x.shape}")
+    if x.shape[1] != spec.in_features:
         raise ConfigError(
-            f"linear: input length {x.shape[-1]} but the layer expects {spec.in_features}")
+            f"linear: input length {x.shape[1]} but the layer expects {spec.in_features}")
 
     weight, bias = spec.weight, spec.bias
     out = x.data @ weight.data.T + bias.data
-
-    def grad_fn(g):
-        gx = g @ weight.data
-        if x.data.ndim == 1:
-            return gx, np.outer(g, x.data), g.copy()
-        return gx, g.T @ x.data, g.sum(axis=0)
-
-    return _record("linear", out, (x, weight, bias), grad_fn)
+    return _record("linear", out, (x, weight, bias),
+                   lambda g: (g @ weight.data, g.T @ x.data, g.sum(axis=0)))

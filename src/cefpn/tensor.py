@@ -22,7 +22,7 @@ such a trace (see :mod:`cefpn.cost`).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -87,8 +87,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_grad_fn", "_op", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.array(data, dtype=dtype, copy=True)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.array(data, copy=True)
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64)
         self.data = _freeze(arr)
@@ -97,15 +97,6 @@ class Tensor:
         self._parents: tuple[Tensor, ...] = ()
         self._grad_fn: Callable[[np.ndarray], tuple] | None = None
         self._op = "leaf"
-
-    @classmethod
-    def from_flat(cls, shape: Sequence[int], values, requires_grad: bool = False, dtype=None) -> "Tensor":
-        """Build a tensor from a flat row-major buffer of length prod(shape)."""
-        flat = np.array(values, dtype=dtype, copy=True).ravel()
-        n = int(np.prod(shape)) if len(shape) else 1
-        if flat.size != n:
-            raise ShapeError(f"flat buffer has {flat.size} elements, shape {tuple(shape)} needs {n}")
-        return cls(flat.reshape(tuple(shape)), requires_grad=requires_grad)
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -123,9 +114,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def backward(self) -> None:
-        backward(self)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, op={self._op})"
@@ -193,7 +181,6 @@ class GradTape:
     """
 
     def __init__(self, root: Tensor):
-        self.root = root
         self.nodes = _topo_order(root)
 
     def leaves(self) -> list[Tensor]:
@@ -312,29 +299,18 @@ def sigmoid(x: Tensor) -> Tensor:
 
 
 def mul_channelwise(x: Tensor, w: Tensor) -> Tensor:
-    """Scale every spatial position of channel j by w_j.
+    """Scale every spatial position of channel j of sample i by w[i, j].
 
-    ``x`` is (n, c, h, w); ``w`` is a per-channel vector (c,) shared across
-    the batch, or (n, c) with one vector per sample.
+    ``x`` is (n, c, h, w); ``w`` is (n, c), one weight vector per sample.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"mul_channelwise: x must be 4-d, got shape {x.shape}")
     n, c = x.shape[0], x.shape[1]
-    if w.shape == (c,):
-        wb = w.data.reshape(1, c, 1, 1)
-    elif w.shape == (n, c):
-        wb = w.data.reshape(n, c, 1, 1)
-    else:
-        raise ShapeError(f"mul_channelwise: weight shape {w.shape} does not match {c} channels")
-
-    def grad_fn(g):
-        gx = g * wb
-        gw = (g * x.data).sum(axis=(2, 3))
-        if w.data.ndim == 1:
-            gw = gw.sum(axis=0)
-        return gx, gw
-
-    return _record("mul_channelwise", x.data * wb, (x, w), grad_fn)
+    if w.shape != (n, c):
+        raise ShapeError(f"mul_channelwise: weight shape {w.shape} is not (n, c) = {(n, c)}")
+    wb = w.data.reshape(n, c, 1, 1)
+    return _record("mul_channelwise", x.data * wb, (x, w),
+                   lambda g: (g * wb, (g * x.data).sum(axis=(2, 3))))
 
 
 def sum_all(x: Tensor) -> Tensor:

@@ -242,9 +242,10 @@ class TestRunGradcheck:
         assert report.document["end_to_end"]["max_rel_error"] < 1e-4
         assert report.document["end_to_end"]["parameters_checked"] >= 200
 
-    def test_refuses_single_precision(self):
+    @pytest.mark.parametrize("suite", ["all", "forward", "cost"])
+    def test_refuses_single_precision(self, suite):
         with pytest.raises(ConfigError, match="float64"):
-            run_gradcheck(RunConfig(precision="float32"))
+            run_gradcheck(RunConfig(precision="float32", suite=suite))
 
     def test_nan_error_fails_and_stays_valid_json(self, monkeypatch):
         real_suite = cefpn.harness.op_gradient_suite

@@ -22,3 +22,23 @@ def corrupt_conv3x3(monkeypatch):
         return out
 
     monkeypatch.setattr(gradcheck, "conv2d", conv2d)
+
+
+@pytest.fixture(params=["sce.local_3x3", "post_merge.P2"])
+def corrupt_neck_conv(request, monkeypatch):
+    """Negative control on each side of the neck's stage split: the neck conv
+    running under the module path ``request.param`` (a head conv, then a
+    pyramid conv) hands back its analytic gradients scaled by 1.5."""
+    import cefpn.neck as neck
+    import cefpn.tensor as tensor
+    real = neck.conv2d
+
+    def conv2d(x, spec):
+        out = real(x, spec)
+        if tensor._scope == request.param and out._grad_fn is not None:
+            grad_fn = out._grad_fn
+            out._grad_fn = lambda g: tuple(None if t is None else 1.5 * t for t in grad_fn(g))
+        return out
+
+    monkeypatch.setattr(neck, "conv2d", conv2d)
+    return request.param

@@ -19,8 +19,8 @@ from .gradcheck import EndToEndResult, end_to_end_gradcheck, linear_only_error, 
     op_gradient_suite
 from .harness import RunConfig, SuiteReport, run_cost, run_forward, run_gradcheck, run_suites
 from .neck import BackbonePyramid, NeckConfig, NeckParams, PyramidOutputs, build_integration_map, \
-    cag_apply, cag_weights, cefpn_forward, init_neck_params, pixel_shuffle, pixel_unshuffle, \
-    sce_forward, ssf_fuse, top_down_merge
+    cag_apply, cag_weights, cefpn_forward, head_stage, init_neck_params, pixel_shuffle, \
+    pixel_unshuffle, pyramid_stage, sce_forward, ssf_fuse, top_down_merge
 from .ops import ConvSpec, LinearSpec, conv2d, global_avg_pool, global_max_pool, \
     interpolate_nearest, linear, max_pool2d
 from .tensor import GradTape, Tensor, add, backward, broadcast_spatial, channel_slice, mul, \

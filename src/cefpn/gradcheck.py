@@ -5,7 +5,9 @@ forward pass with one scalar nudged by +/-h and differences the losses.
 One analytic forward keeps the graph for ``backward``; for the numeric
 forwards every checked leaf has ``requires_grad`` switched off (and restored
 afterwards), so they record no graph and keep nothing for a backward pass.
-Their values are bit for bit those of the graph forward.
+Their values are bit for bit those of the graph forward. The end-to-end
+check re-runs only the part of the neck a nudged parameter reaches: for a
+head parameter, the head over the unperturbed pyramid computed once.
 Double precision is required; with h = ``DEFAULT_STEP`` = 1e-6 the
 truncation and roundoff floors sit far below the 1e-4 acceptance threshold.
 """
@@ -19,7 +21,8 @@ import numpy as np
 
 from .backbone import synthetic_backbone
 from .errors import ConfigError
-from .neck import NeckConfig, cefpn_forward, init_neck_params, pixel_shuffle, pixel_unshuffle
+from .neck import PYRAMID_MODULES, NeckConfig, cefpn_forward, head_stage, init_neck_params, \
+    pixel_shuffle, pixel_unshuffle, pyramid_stage
 from .ops import ConvSpec, LinearSpec, conv2d, global_avg_pool, global_max_pool, \
     interpolate_nearest, linear, max_pool2d
 from .tensor import Tensor, add, backward, broadcast_spatial, channel_slice, \
@@ -61,22 +64,24 @@ def central_difference(loss_fn: Callable[[], float], leaf: Tensor, flat_index: i
     return (plus - minus) / (2.0 * DEFAULT_STEP)
 
 
-def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
+def check_loss_gradients(loss_fn: Callable[[Tensor | None], Tensor], leaves: list[Tensor],
                          samples: int | None = None,
                          rng: np.random.Generator | None = None) -> float:
     """Max relative error between analytic and numeric gradients.
 
     ``loss_fn`` must rebuild the graph from the given leaf tensors on every
-    call. When ``samples`` is given, ``rng`` draws that many scalar
-    coordinates without replacement across all leaves; otherwise every
-    coordinate is checked. The numeric forwards run with every leaf's
-    ``requires_grad`` off, so they build no graph; each leaf's flag is
-    restored on return, also when ``loss_fn`` raises.
+    call. It is passed the leaf being perturbed, or None for the analytic
+    pass, and may skip work that leaf cannot reach. When ``samples`` is
+    given, ``rng`` draws that many scalar coordinates without replacement
+    across all leaves; otherwise every coordinate is checked. The numeric
+    forwards run with every leaf's ``requires_grad`` off, so they build no
+    graph; each leaf's flag is restored on return, also when ``loss_fn``
+    raises.
     """
     for leaf in leaves:
         if leaf.dtype != np.float64:
             raise ConfigError("gradient checking requires float64 tensors")
-    loss = loss_fn()
+    loss = loss_fn(None)
     backward(loss)
     floor = max(_REL_FLOOR, _NOISE_FLOOR_COEFF * abs(loss.item()))
     sizes = [leaf.size for leaf in leaves]
@@ -97,7 +102,7 @@ def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
             leaf = leaves[which]
             idx = int(flat - bounds[which])
             analytic = 0.0 if leaf.grad is None else float(leaf.grad.flat[idx])
-            numeric = central_difference(lambda: loss_fn().item(), leaf, idx)
+            numeric = central_difference(lambda: loss_fn(leaf).item(), leaf, idx)
             worst = max(worst, relative_error(analytic, numeric, floor))
     finally:
         for leaf, flag in zip(leaves, flags):
@@ -129,7 +134,7 @@ def op_gradient_suite(seed: int = 0) -> dict[str, float]:
 
     def run(name: str, leaves: list[Tensor], out_fn: Callable[[], Tensor]) -> None:
         probe = _probe(rng, out_fn().shape)
-        loss_fn = lambda: sum_all(mul(out_fn(), probe))
+        loss_fn = lambda _leaf: sum_all(mul(out_fn(), probe))
         results[name] = check_loss_gradients(loss_fn, leaves)
 
     x = _distinct(rng, (1, 3, 5, 5))
@@ -184,7 +189,7 @@ def op_gradient_suite(seed: int = 0) -> dict[str, float]:
     run("squeeze_spatial", [xbr], lambda: squeeze_spatial(xbr))
 
     xsum = _distinct(rng, (1, 2, 3, 3))
-    results["sum_all"] = check_loss_gradients(lambda: sum_all(xsum), [xsum])
+    results["sum_all"] = check_loss_gradients(lambda _leaf: sum_all(xsum), [xsum])
     return results
 
 
@@ -195,7 +200,7 @@ def linear_only_error(seed: int = 0) -> float:
     x = Tensor(rng.uniform(-1, 1, size=(1, 8)), requires_grad=True)
     spec = LinearSpec.seeded(rng, 8, 5)
     probe = _probe(rng, (1, 5))
-    loss_fn = lambda: sum_all(mul(linear(x, spec), probe))
+    loss_fn = lambda _leaf: sum_all(mul(linear(x, spec), probe))
     return check_loss_gradients(loss_fn, [x, spec.weight, spec.bias])
 
 
@@ -207,20 +212,32 @@ class EndToEndResult:
 
 
 def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
-                         batch: int = 1, seed: int = 0, samples: int = 200) -> EndToEndResult:
+                         batch: int = 1, seed: int = 0, samples: int = 200,
+                         pattern: str = "noise") -> EndToEndResult:
     """Check d(sum of all output levels)/d(theta) for sampled parameters.
 
     The forward pass is rebuilt from the same parameter tensors on every
-    evaluation, so each perturbation flows through the whole neck.
+    evaluation, so each perturbation flows through every op it reaches. A
+    nudged parameter of ``pyramid_stage`` (``PYRAMID_MODULES``) re-runs the
+    whole neck; any other re-runs only ``head_stage`` over the pyramid,
+    which is computed once, graph-free, and dropped on return.
     """
     params = init_neck_params(config, seed)
-    pyramid = synthetic_backbone(config.base_channel, height, width, batch,
-                                 seed=seed + 1, pattern="noise")
+    backbone = synthetic_backbone(config.base_channel, height, width, batch,
+                                  seed=seed + 1, pattern=pattern)
     leaves = [t for _name, t in params.named_parameters()]
     total = sum(t.size for t in leaves)
+    in_pyramid = {id(t) for _name, module, spec in params.named_layers()
+                  if module in PYRAMID_MODULES for t in (spec.weight, spec.bias)}
+    pyramid: dict[int, Tensor] = {}
 
-    def loss_fn() -> Tensor:
-        outs = cefpn_forward(pyramid, params, config)
+    def loss_fn(leaf: Tensor | None) -> Tensor:
+        if leaf is None or id(leaf) in in_pyramid:
+            outs = cefpn_forward(backbone, params, config)
+        else:
+            if not pyramid:  # numeric pass: no leaf requires grad
+                pyramid.update(pyramid_stage(backbone, params, config))
+            outs = head_stage(backbone, pyramid, params, config)
         loss = sum_all(outs.r2)
         for t in (outs.r3, outs.r4, outs.r5):
             loss = add(loss, sum_all(t))
@@ -229,4 +246,3 @@ def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
     rng = np.random.default_rng(seed + 2)
     err = check_loss_gradients(loss_fn, leaves, samples=samples, rng=rng)
     return EndToEndResult(err, min(samples, total), total)
-

@@ -173,7 +173,7 @@ def run_gradcheck(config: RunConfig) -> SuiteReport:
     per_op = op_gradient_suite(seed=config.seed)
     per_op["linear_exact"] = linear_only_error(seed=config.seed)
     e2e = end_to_end_gradcheck(config.neck_config(), config.height, config.width,
-                               config.batch, seed=config.seed)
+                               config.batch, seed=config.seed, pattern=config.backbone_pattern)
     # NaN compares false, so a NaN error fails here instead of hiding from max()
     passed = all(e < DEFAULT_THRESHOLD for e in (*per_op.values(), e2e.max_rel_error))
     document = {

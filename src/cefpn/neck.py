@@ -432,13 +432,16 @@ def _check_params(backbone: BackbonePyramid, params: NeckParams, config: NeckCon
         raise ConfigError("ssf scheme a selected but no reduction layer allocated")
 
 
-def cefpn_forward(backbone: BackbonePyramid, params: NeckParams,
-                  config: NeckConfig) -> PyramidOutputs:
-    """Full neck: laterals, skip fusion, top-down merge, context, attention.
+# The modules whose layers ``pyramid_stage`` reads; ``head_stage`` reads the rest.
+PYRAMID_MODULES = ("lateral", "post_merge", "ssf")
 
-    R5 comes from P5 when F5/P5 are kept, otherwise from a parameter-free
-    stride-2 subsample of P4 (kernel-1 max pool). Every op runs under the
-    module path of its cost-table row (``lateral.C4``, ``cag.apply_R2``).
+
+def pyramid_stage(backbone: BackbonePyramid, params: NeckParams,
+                  config: NeckConfig) -> dict[int, Tensor]:
+    """Laterals, skip fusion, top-down merge and post-merge convs.
+
+    Returns P2..P4, plus P5 when F5/P5 are kept. Reads only the layers of
+    ``PYRAMID_MODULES``.
     """
     _check_params(backbone, params, config)
     feats: dict[int, Tensor] = {}
@@ -447,15 +450,36 @@ def cefpn_forward(backbone: BackbonePyramid, params: NeckParams,
             feats[i] = conv2d(backbone.level(i), params.laterals[i])
     feats[3] = ssf_fuse(backbone.c4, feats[3], config.ssf_scheme, params)
     feats[4] = ssf_fuse(backbone.c5, feats[4], config.ssf_scheme, params)
-    pyramid = top_down_merge(feats, params)
+    return top_down_merge(feats, params)
+
+
+def head_stage(backbone: BackbonePyramid, pyramid: dict[int, Tensor], params: NeckParams,
+               config: NeckConfig) -> PyramidOutputs:
+    """Context, integration map and attention over a given pyramid.
+
+    R5 comes from P5 when F5/P5 are kept, otherwise from a parameter-free
+    stride-2 subsample of P4 (kernel-1 max pool). ``pyramid`` is not changed.
+    """
     context = sce_forward(backbone.c5, params)
     integration = build_integration_map(pyramid[2], pyramid[3], pyramid[4], context)
     weights = cag_weights(integration, params)
+    levels = dict(pyramid)
     if not config.include_f5_p5:
         with scope("output.R5_subsample"):
-            pyramid[5] = max_pool2d(pyramid[4], kernel=1, stride=2)
+            levels[5] = max_pool2d(pyramid[4], kernel=1, stride=2)
     out = {}
     for i in (2, 3, 4, 5):
         with scope(f"cag.apply_R{i}"):
-            out[i] = cag_apply(pyramid[i], weights)
+            out[i] = cag_apply(levels[i], weights)
     return PyramidOutputs(r2=out[2], r3=out[3], r4=out[4], r5=out[5])
+
+
+def cefpn_forward(backbone: BackbonePyramid, params: NeckParams,
+                  config: NeckConfig) -> PyramidOutputs:
+    """Full neck: ``pyramid_stage`` (laterals, skip fusion, top-down merge),
+    then ``head_stage`` (context, attention).
+
+    Every op runs under the module path of its cost-table row
+    (``lateral.C4``, ``cag.apply_R2``).
+    """
+    return head_stage(backbone, pyramid_stage(backbone, params, config), params, config)

@@ -1,12 +1,18 @@
 """Analytic gradients against central finite differences, op by op."""
 
+import json
+
 import numpy as np
 import pytest
 
-from cefpn import ConfigError, Tensor, ops
-from cefpn.gradcheck import DEFAULT_THRESHOLD, check_loss_gradients, linear_only_error, \
-    op_gradient_suite
+from cefpn import ConfigError, NeckConfig, Tensor, cefpn_forward, init_neck_params, ops, \
+    synthetic_backbone
+from cefpn.cli import main
+from cefpn.gradcheck import DEFAULT_THRESHOLD, check_loss_gradients, end_to_end_gradcheck, \
+    linear_only_error, op_gradient_suite
+from cefpn.neck import PYRAMID_MODULES
 from cefpn.tensor import add, mul, relu, sum_all
+import cefpn.gradcheck
 
 EXPECTED_OPS = {
     "conv2d_1x1", "conv2d_3x3", "conv2d_3x3_im2col", "max_pool2d",
@@ -55,13 +61,13 @@ def test_corrupted_gradient_is_caught(corrupt_conv3x3):
 def test_float32_leaves_are_refused():
     x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     with pytest.raises(ConfigError):
-        check_loss_gradients(lambda: sum_all(x), [x])
+        check_loss_gradients(lambda _leaf: sum_all(x), [x])
 
 
 def test_shared_leaf_through_two_paths():
     rng = np.random.default_rng(5)
     x = Tensor(rng.uniform(-1, 1, (1, 2, 3, 3)), requires_grad=True)
-    loss_fn = lambda: add(sum_all(mul(x, x)), sum_all(x))
+    loss_fn = lambda _leaf: add(sum_all(mul(x, x)), sum_all(x))
     assert check_loss_gradients(loss_fn, [x]) < DEFAULT_THRESHOLD
 
 
@@ -71,7 +77,7 @@ def test_numeric_forwards_build_no_graph():
     w = Tensor(rng.uniform(-1, 1, (1, 2, 3, 3)), requires_grad=True)
     losses, graphs = [], []
 
-    def loss_fn():
+    def loss_fn(_leaf):
         losses.append(sum_all(mul(relu(x), w)))
         graphs.append(losses[-1]._parents != ())  # before backward consumes it
         return losses[-1]
@@ -89,7 +95,7 @@ def test_leaf_flags_are_restored():
     rng = np.random.default_rng(3)
     x = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
     frozen = Tensor(rng.uniform(-1, 1, (2, 3)))
-    check_loss_gradients(lambda: sum_all(mul(x, frozen)), [x, frozen])
+    check_loss_gradients(lambda _leaf: sum_all(mul(x, frozen)), [x, frozen])
     assert x.requires_grad and not frozen.requires_grad
 
 
@@ -100,7 +106,7 @@ def test_leaf_flags_are_restored_when_loss_fn_raises():
     before = x.data.copy()
     calls = []
 
-    def loss_fn():
+    def loss_fn(_leaf):
         calls.append(None)
         if len(calls) == 4:  # inside the numeric loop, past its first coordinate
             raise RuntimeError("forward failed")
@@ -110,3 +116,71 @@ def test_leaf_flags_are_restored_when_loss_fn_raises():
         check_loss_gradients(loss_fn, [x, frozen])
     assert x.requires_grad and not frozen.requires_grad
     assert np.array_equal(x.data, before)
+
+
+def desk(**kw):
+    return NeckConfig(base_channel=16, attention_reduction=4, **kw)
+
+
+def full_forward_reference(config, batch, seed, samples=200):
+    """The end-to-end check as one full forward per evaluation: same
+    parameters, backbone, loss and coordinate stream."""
+    params = init_neck_params(config, seed)
+    backbone = synthetic_backbone(16, 64, 64, batch, seed=seed + 1)
+
+    def loss_fn(_leaf):
+        outs = cefpn_forward(backbone, params, config)
+        loss = sum_all(outs.r2)
+        for t in (outs.r3, outs.r4, outs.r5):
+            loss = add(loss, sum_all(t))
+        return loss
+
+    leaves = [t for _name, t in params.named_parameters()]
+    rng = np.random.default_rng(seed + 2)
+    return check_loss_gradients(loss_fn, leaves, samples=samples, rng=rng)
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("f5_p5", [False, True])
+@pytest.mark.parametrize("scheme", ["a", "b", "c"])
+def test_end_to_end_equals_full_forward_reference(scheme, f5_p5, batch):
+    config = desk(ssf_scheme=scheme, include_f5_p5=f5_p5)
+    got = end_to_end_gradcheck(config, batch=batch, seed=1).max_rel_error
+    assert got == full_forward_reference(config, batch, seed=1)
+
+
+@pytest.mark.parametrize("f5_p5", [False, True])
+def test_full_forward_runs_only_for_pyramid_picks(f5_p5, monkeypatch):
+    config = desk(ssf_scheme="a", include_f5_p5=f5_p5)
+    params = init_neck_params(config, 1)
+    total = sum(t.size for _name, t in params.named_parameters())
+    # named_parameters lists the pyramid modules' layers first
+    prefix = sum(spec.weight.size + spec.bias.size
+                 for _name, module, spec in params.named_layers() if module in PYRAMID_MODULES)
+    picks = np.random.default_rng(3).choice(total, size=200, replace=False)
+    prefix_picks = int(np.count_nonzero(picks < prefix))
+    assert 0 < prefix_picks < 200
+    calls = {"cefpn_forward": 0, "pyramid_stage": 0, "head_stage": 0}
+    for name in calls:
+        real = getattr(cefpn.gradcheck, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(cefpn.gradcheck, name, counted)
+    end_to_end_gradcheck(config, seed=1)
+    assert calls == {"cefpn_forward": 1 + 2 * prefix_picks, "pyramid_stage": 1,
+                     "head_stage": 2 * (200 - prefix_picks)}
+
+
+def test_end_to_end_catches_a_corrupted_neck_conv(corrupt_neck_conv):
+    assert end_to_end_gradcheck(desk(), seed=0).max_rel_error > DEFAULT_THRESHOLD
+
+
+def test_cli_exits_one_on_a_corrupted_neck_conv(corrupt_neck_conv, tmp_path, capsys):
+    code = main(["--suite", "gradcheck", "--out", str(tmp_path)])
+    assert code == 1
+    doc = json.loads((tmp_path / "gradcheck_report.json").read_text())
+    assert doc["end_to_end"]["max_rel_error"] > DEFAULT_THRESHOLD
+    assert all(err < DEFAULT_THRESHOLD for err in doc["ops"].values())

@@ -242,6 +242,13 @@ class TestRunGradcheck:
         assert report.document["end_to_end"]["max_rel_error"] < 1e-4
         assert report.document["end_to_end"]["parameters_checked"] >= 200
 
+    def test_end_to_end_runs_over_the_configured_backbone_pattern(self):
+        noise = run_gradcheck(RunConfig(seed=3, suite="gradcheck"))
+        ramp = run_gradcheck(RunConfig(seed=3, suite="gradcheck", backbone_pattern="ramp"))
+        assert ramp.passed and ramp.document["config"]["backbone_pattern"] == "ramp"
+        assert ramp.document["ops"] == noise.document["ops"]
+        assert ramp.document["end_to_end"] != noise.document["end_to_end"]
+
     @pytest.mark.parametrize("suite", ["all", "forward", "cost"])
     def test_refuses_single_precision(self, suite):
         with pytest.raises(ConfigError, match="float64"):

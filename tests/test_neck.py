@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 
 from cefpn import BackbonePyramid, ConfigError, ConvSpec, LinearSpec, NeckConfig, \
     NeckParams, ShapeError, Tensor, add, build_integration_map, cag_apply, cag_weights, \
-    cefpn_forward, conv2d, global_avg_pool, global_max_pool, init_neck_params, \
-    interpolate_nearest, linear, max_pool2d, pixel_shuffle, sce_forward, ssf_fuse, \
-    synthetic_backbone, top_down_merge
+    cefpn_forward, conv2d, global_avg_pool, global_max_pool, head_stage, init_neck_params, \
+    interpolate_nearest, linear, max_pool2d, pixel_shuffle, pyramid_stage, sce_forward, \
+    ssf_fuse, synthetic_backbone, top_down_merge
+from cefpn.neck import PYRAMID_MODULES
 from cefpn.tensor import broadcast_spatial, channel_slice, mul_channelwise, relu, \
     scale, sigmoid, squeeze_spatial, sum_all
 
@@ -504,6 +505,46 @@ class TestGraphFree:
             for t in (spec.weight, spec.bias):
                 want = rng.uniform(-bound, bound, size=t.shape).astype(dtype)
                 assert t.dtype == dtype and np.array_equal(t.data, want), name
+
+
+class TestStages:
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("f5_p5", [False, True])
+    @pytest.mark.parametrize("scheme", ["a", "b", "c"])
+    def test_head_over_pyramid_equals_full_forward(self, scheme, f5_p5, batch):
+        config = desk_config(ssf_scheme=scheme, include_f5_p5=f5_p5)
+        params = init_neck_params(config, 2)
+        backbone = synthetic_backbone(16, 64, 64, batch=batch, seed=3)
+        pyramid = pyramid_stage(backbone, params, config)
+        assert sorted(pyramid) == list(config.levels)
+        staged = head_stage(backbone, pyramid, params, config)
+        assert sorted(pyramid) == list(config.levels)  # the head adds no level to it
+        full = cefpn_forward(backbone, params, config)
+        for i in (2, 3, 4, 5):
+            assert np.array_equal(staged.level(i).data, full.level(i).data), f"R{i}"
+
+    @pytest.mark.parametrize("f5_p5", [False, True])
+    @pytest.mark.parametrize("scheme", ["a", "b", "c"])
+    def test_pyramid_stage_reaches_exactly_the_pyramid_modules(self, scheme, f5_p5):
+        from cefpn import backward
+        config = desk_config(ssf_scheme=scheme, include_f5_p5=f5_p5)
+        backbone = synthetic_backbone(16, 64, 64, seed=1)
+        params = init_neck_params(config, 0)
+        pyramid = pyramid_stage(backbone, params, config)
+        loss = sum_all(pyramid[2])
+        for i in config.levels[1:]:
+            loss = add(loss, sum_all(pyramid[i]))
+        backward(loss)
+        reached = {name for name, t in params.named_parameters() if t.grad is not None}
+        want = {f"{name}.{part}" for name, module, _spec in params.named_layers()
+                if module in PYRAMID_MODULES for part in ("weight", "bias")}
+        assert reached == want
+        # the head over a graph-free pyramid reaches every other parameter
+        frozen = {i: Tensor(p.data) for i, p in pyramid.items()}
+        fresh = init_neck_params(config, 0)
+        backward(level_sum_loss(head_stage(backbone, frozen, fresh, config)))
+        reached = {name for name, t in fresh.named_parameters() if t.grad is not None}
+        assert reached == {name for name, _t in fresh.named_parameters()} - want
 
 
 def level_sum_loss(out):

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Reproduce the reference parameter/FLOP deltas at width 256.
 
-Builds the width-256 cost reports, diffs each ablation against the plain
-pyramid baseline, and checks every delta against its reference target:
+Runs the harness cost suite at width 256, which diffs each ablation against
+the plain pyramid baseline, and checks every delta against its reference
+target:
 
     scheme c    +0        exactly (also 0 FLOPs under both conventions)
     scheme a    +2.10M    within +/-0.01M
@@ -21,8 +22,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cefpn import NeckConfig, cefpn_report, compare_to_baseline, fpn_baseline_report, \
-    variant_report
+from cefpn import RunConfig, run_cost
 
 
 def check_row(name, delta, target, tolerance, unit=1e6):
@@ -38,30 +38,27 @@ def main(argv=None):
     parser.add_argument("--height", type=int, default=64)
     parser.add_argument("--width", type=int, default=64)
     args = parser.parse_args(argv)
-    geometry = (args.height, args.width)
 
-    config = NeckConfig(base_channel=256, attention_reduction=32)
-    baseline = fpn_baseline_report(256, geometry)
-    rows = {
-        name: compare_to_baseline(variant_report(name, 256, geometry), baseline)
-        for name in ("ssf_a", "ssf_b", "ssf_c", "sce", "cag")
-    }
-    rows["cefpn"] = compare_to_baseline(cefpn_report(config, geometry), baseline)
+    def cost(mac):
+        config = RunConfig(base_channel=256, attention_reduction=32, height=args.height,
+                           width=args.width, suite="cost", mac_convention=mac)
+        return run_cost(config).document
 
-    print(f"baseline neck: {baseline.total_params:,} parameters "
-          f"({baseline.total_params / 1e6:.2f}M)\n")
+    document = cost(2)
+    baseline_params = document["reports"]["baseline"]["totals"]["params"]
+    rows = {name: delta["params_delta"] for name, delta in document["deltas"].items()}
+
+    print(f"baseline neck: {baseline_params:,} parameters "
+          f"({baseline_params / 1e6:.2f}M)\n")
     ok = True
-    ok &= check_row("ssf_c", rows["ssf_c"].params_delta, 0, 0)
-    ok &= check_row("ssf_b", rows["ssf_b"].params_delta, 0, 0)
-    ok &= check_row("ssf_a", rows["ssf_a"].params_delta, 2.10e6, 0.01e6)
-    ok &= check_row("cag", rows["cag"].params_delta, 8720, 0)
-    ok &= check_row("sce", rows["sce"].params_delta, 27.27e6, 0.05 * 27.27e6)
-    ok &= check_row("cefpn", rows["cefpn"].params_delta, 27.28e6, 0.05 * 27.28e6)
+    ok &= check_row("ssf_c", rows["ssf_c"], 0, 0)
+    ok &= check_row("ssf_b", rows["ssf_b"], 0, 0)
+    ok &= check_row("ssf_a", rows["ssf_a"], 2.10e6, 0.01e6)
+    ok &= check_row("cag", rows["cag"], 8720, 0)
+    ok &= check_row("sce", rows["sce"], 27.27e6, 0.05 * 27.27e6)
+    ok &= check_row("cefpn", rows["cefpn"], 27.28e6, 0.05 * 27.28e6)
 
-    zero_flops = all(
-        compare_to_baseline(variant_report("ssf_c", 256, geometry, mac_convention=mac),
-                            fpn_baseline_report(256, geometry, mac_convention=mac)).flops_delta == 0
-        for mac in (1, 2))
+    zero_flops = all(cost(mac)["deltas"]["ssf_c"]["flops_delta"] == 0 for mac in (1, 2))
     print(f"\n{'PASS' if zero_flops else 'FAIL'}  scheme c adds 0 FLOPs under mac=1 and mac=2")
     ok &= zero_flops
     return 0 if ok else 1

@@ -15,8 +15,7 @@ from .backbone import level_shapes, ramp_level, synthetic_backbone
 from .cost import CostEntry, CostReport, DeltaSummary, cefpn_report, compare_to_baseline, \
     fpn_baseline_report, variant_report
 from .errors import ConfigError, ContractError, ShapeError
-from .gradcheck import EndToEndResult, end_to_end_gradcheck, linear_only_error, \
-    op_gradient_suite
+from .gradcheck import EndToEndResult, end_to_end_gradcheck, op_gradient_suite
 from .harness import RunConfig, SuiteReport, run_cost, run_forward, run_gradcheck, run_suites
 from .neck import BackbonePyramid, NeckConfig, NeckParams, PyramidOutputs, build_integration_map, \
     cag_apply, cag_weights, cefpn_forward, head_stage, init_neck_params, pixel_shuffle, \

@@ -6,8 +6,8 @@ One analytic forward keeps the graph for ``backward``; for the numeric
 forwards every checked leaf has ``requires_grad`` switched off (and restored
 afterwards), so they record no graph and keep nothing for a backward pass.
 Their values are bit for bit those of the graph forward. The end-to-end
-check re-runs only the part of the neck a nudged parameter reaches: for a
-head parameter, the head over the unperturbed pyramid computed once.
+check is two such checks: pyramid parameters through the full neck, head
+parameters through the head alone over a fixed, detached pyramid.
 Double precision is required; with h = ``DEFAULT_STEP`` = 1e-6 the
 truncation and roundoff floors sit far below the 1e-4 acceptance threshold.
 """
@@ -21,8 +21,8 @@ import numpy as np
 
 from .backbone import synthetic_backbone
 from .errors import ConfigError
-from .neck import PYRAMID_MODULES, NeckConfig, cefpn_forward, head_stage, init_neck_params, \
-    pixel_shuffle, pixel_unshuffle, pyramid_stage
+from .neck import PYRAMID_MODULES, NeckConfig, PyramidOutputs, cefpn_forward, head_stage, \
+    init_neck_params, pixel_shuffle, pixel_unshuffle, pyramid_stage
 from .ops import ConvSpec, LinearSpec, conv2d, global_avg_pool, global_max_pool, \
     interpolate_nearest, linear, max_pool2d
 from .tensor import Tensor, add, backward, broadcast_spatial, channel_slice, \
@@ -64,33 +64,25 @@ def central_difference(loss_fn: Callable[[], float], leaf: Tensor, flat_index: i
     return (plus - minus) / (2.0 * DEFAULT_STEP)
 
 
-def check_loss_gradients(loss_fn: Callable[[Tensor | None], Tensor], leaves: list[Tensor],
-                         samples: int | None = None,
-                         rng: np.random.Generator | None = None) -> float:
+def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
+                         picks: np.ndarray | None = None) -> float:
     """Max relative error between analytic and numeric gradients.
 
     ``loss_fn`` must rebuild the graph from the given leaf tensors on every
-    call. It is passed the leaf being perturbed, or None for the analytic
-    pass, and may skip work that leaf cannot reach. When ``samples`` is
-    given, ``rng`` draws that many scalar coordinates without replacement
-    across all leaves; otherwise every coordinate is checked. The numeric
-    forwards run with every leaf's ``requires_grad`` off, so they build no
-    graph; each leaf's flag is restored on return, also when ``loss_fn``
-    raises.
+    call. ``picks`` are the flat coordinates to check, counted across
+    ``leaves`` in order; None checks every coordinate. The numeric forwards
+    run with every leaf's ``requires_grad`` off, so they build no graph;
+    each leaf's flag is restored on return, also when ``loss_fn`` raises.
     """
     for leaf in leaves:
         if leaf.dtype != np.float64:
             raise ConfigError("gradient checking requires float64 tensors")
-    loss = loss_fn(None)
+    loss = loss_fn()
     backward(loss)
     floor = max(_REL_FLOOR, _NOISE_FLOOR_COEFF * abs(loss.item()))
     sizes = [leaf.size for leaf in leaves]
-    total = sum(sizes)
-    if samples is None or samples >= total:
-        picks = np.arange(total)
-    else:
-        picks = rng.choice(total, size=samples, replace=False)
-        picks.sort()
+    if picks is None:
+        picks = np.arange(sum(sizes))
     bounds = np.cumsum([0] + sizes)
     worst = 0.0
     flags = [leaf.requires_grad for leaf in leaves]
@@ -102,7 +94,7 @@ def check_loss_gradients(loss_fn: Callable[[Tensor | None], Tensor], leaves: lis
             leaf = leaves[which]
             idx = int(flat - bounds[which])
             analytic = 0.0 if leaf.grad is None else float(leaf.grad.flat[idx])
-            numeric = central_difference(lambda: loss_fn(leaf).item(), leaf, idx)
+            numeric = central_difference(lambda: loss_fn().item(), leaf, idx)
             worst = max(worst, relative_error(analytic, numeric, floor))
     finally:
         for leaf, flag in zip(leaves, flags):
@@ -134,8 +126,7 @@ def op_gradient_suite(seed: int = 0) -> dict[str, float]:
 
     def run(name: str, leaves: list[Tensor], out_fn: Callable[[], Tensor]) -> None:
         probe = _probe(rng, out_fn().shape)
-        loss_fn = lambda _leaf: sum_all(mul(out_fn(), probe))
-        results[name] = check_loss_gradients(loss_fn, leaves)
+        results[name] = check_loss_gradients(lambda: sum_all(mul(out_fn(), probe)), leaves)
 
     x = _distinct(rng, (1, 3, 5, 5))
     spec1 = ConvSpec.seeded(rng, 3, 4, 1)
@@ -189,19 +180,16 @@ def op_gradient_suite(seed: int = 0) -> dict[str, float]:
     run("squeeze_spatial", [xbr], lambda: squeeze_spatial(xbr))
 
     xsum = _distinct(rng, (1, 2, 3, 3))
-    results["sum_all"] = check_loss_gradients(lambda _leaf: sum_all(xsum), [xsum])
-    return results
+    results["sum_all"] = check_loss_gradients(lambda: sum_all(xsum), [xsum])
 
-
-def linear_only_error(seed: int = 0) -> float:
-    """Worst error for a lone fully connected layer; the map is exactly
-    linear, so central differences are exact up to roundoff."""
+    # A lone fully connected layer is exactly linear, so central differences
+    # are exact up to roundoff. It draws from a fresh generator of the same
+    # seed, which ``run`` reads for its probe.
     rng = np.random.default_rng(seed)
-    x = Tensor(rng.uniform(-1, 1, size=(1, 8)), requires_grad=True)
-    spec = LinearSpec.seeded(rng, 8, 5)
-    probe = _probe(rng, (1, 5))
-    loss_fn = lambda _leaf: sum_all(mul(linear(x, spec), probe))
-    return check_loss_gradients(loss_fn, [x, spec.weight, spec.bias])
+    xe = Tensor(rng.uniform(-1, 1, size=(1, 8)), requires_grad=True)
+    exact = LinearSpec.seeded(rng, 8, 5)
+    run("linear_exact", [xe, exact.weight, exact.bias], lambda: linear(xe, exact))
+    return results
 
 
 @dataclass(frozen=True)
@@ -211,38 +199,39 @@ class EndToEndResult:
     parameter_total: int
 
 
+def _level_sum(outs: PyramidOutputs) -> Tensor:
+    loss = sum_all(outs.r2)
+    for t in (outs.r3, outs.r4, outs.r5):
+        loss = add(loss, sum_all(t))
+    return loss
+
+
 def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
                          batch: int = 1, seed: int = 0, samples: int = 200,
                          pattern: str = "noise") -> EndToEndResult:
     """Check d(sum of all output levels)/d(theta) for sampled parameters.
 
     The forward pass is rebuilt from the same parameter tensors on every
-    evaluation, so each perturbation flows through every op it reaches. A
-    nudged parameter of ``pyramid_stage`` (``PYRAMID_MODULES``) re-runs the
-    whole neck; any other re-runs only ``head_stage`` over the pyramid,
-    which is computed once, graph-free, and dropped on return.
+    evaluation, so each perturbation flows through every op it reaches.
+    ``named_parameters`` lists the ``PYRAMID_MODULES`` layers first; picks
+    among them are checked through the full neck, every other pick through
+    ``head_stage`` alone over a pyramid computed once and detached. The
+    error is the worse of the two checks.
     """
     params = init_neck_params(config, seed)
     backbone = synthetic_backbone(config.base_channel, height, width, batch,
                                   seed=seed + 1, pattern=pattern)
     leaves = [t for _name, t in params.named_parameters()]
     total = sum(t.size for t in leaves)
-    in_pyramid = {id(t) for _name, module, spec in params.named_layers()
-                  if module in PYRAMID_MODULES for t in (spec.weight, spec.bias)}
-    pyramid: dict[int, Tensor] = {}
-
-    def loss_fn(leaf: Tensor | None) -> Tensor:
-        if leaf is None or id(leaf) in in_pyramid:
-            outs = cefpn_forward(backbone, params, config)
-        else:
-            if not pyramid:  # numeric pass: no leaf requires grad
-                pyramid.update(pyramid_stage(backbone, params, config))
-            outs = head_stage(backbone, pyramid, params, config)
-        loss = sum_all(outs.r2)
-        for t in (outs.r3, outs.r4, outs.r5):
-            loss = add(loss, sum_all(t))
-        return loss
-
-    rng = np.random.default_rng(seed + 2)
-    err = check_loss_gradients(loss_fn, leaves, samples=samples, rng=rng)
-    return EndToEndResult(err, min(samples, total), total)
+    split = sum(spec.weight.size + spec.bias.size for _name, module, spec in params.named_layers()
+                if module in PYRAMID_MODULES)
+    if samples >= total:
+        picks = np.arange(total)
+    else:
+        picks = np.sort(np.random.default_rng(seed + 2).choice(total, samples, replace=False))
+    full = check_loss_gradients(lambda: _level_sum(cefpn_forward(backbone, params, config)),
+                                leaves, picks[picks < split])
+    pyramid = {i: Tensor(p.data) for i, p in pyramid_stage(backbone, params, config).items()}
+    head = check_loss_gradients(lambda: _level_sum(head_stage(backbone, pyramid, params, config)),
+                                leaves, picks[picks >= split])
+    return EndToEndResult(max(full, head), len(picks), total)

@@ -17,8 +17,7 @@ from .backbone import PATTERNS, check_geometry, synthetic_backbone
 from .cost import MAC_CONVENTIONS, VARIANTS, cefpn_report, compare_to_baseline, \
     fpn_baseline_report, variant_report
 from .errors import ConfigError
-from .gradcheck import DEFAULT_THRESHOLD, end_to_end_gradcheck, linear_only_error, \
-    op_gradient_suite
+from .gradcheck import DEFAULT_THRESHOLD, end_to_end_gradcheck, op_gradient_suite
 from .neck import NeckConfig, cefpn_forward, init_neck_params
 from .tensor import DTYPES
 
@@ -171,7 +170,6 @@ def run_gradcheck(config: RunConfig) -> SuiteReport:
     if config.precision != "float64":
         raise ConfigError(f"the gradcheck requires float64 precision, got {config.precision}")
     per_op = op_gradient_suite(seed=config.seed)
-    per_op["linear_exact"] = linear_only_error(seed=config.seed)
     e2e = end_to_end_gradcheck(config.neck_config(), config.height, config.width,
                                config.batch, seed=config.seed, pattern=config.backbone_pattern)
     # NaN compares false, so a NaN error fails here instead of hiding from max()

@@ -9,9 +9,9 @@ from cefpn import ConfigError, NeckConfig, Tensor, cefpn_forward, init_neck_para
     synthetic_backbone
 from cefpn.cli import main
 from cefpn.gradcheck import DEFAULT_THRESHOLD, check_loss_gradients, end_to_end_gradcheck, \
-    linear_only_error, op_gradient_suite
+    op_gradient_suite
 from cefpn.neck import PYRAMID_MODULES
-from cefpn.tensor import add, mul, relu, sum_all
+from cefpn.tensor import _record, add, mul, relu, sum_all
 import cefpn.gradcheck
 
 EXPECTED_OPS = {
@@ -49,7 +49,7 @@ def test_suite_is_deterministic():
 
 
 def test_linear_layer_is_exact_to_roundoff():
-    assert linear_only_error(seed=0) < 1e-8
+    assert op_gradient_suite(0)["linear_exact"] < 1e-8
 
 
 def test_corrupted_gradient_is_caught(corrupt_conv3x3):
@@ -61,13 +61,13 @@ def test_corrupted_gradient_is_caught(corrupt_conv3x3):
 def test_float32_leaves_are_refused():
     x = Tensor(np.ones((2, 2), dtype=np.float32), requires_grad=True)
     with pytest.raises(ConfigError):
-        check_loss_gradients(lambda _leaf: sum_all(x), [x])
+        check_loss_gradients(lambda: sum_all(x), [x])
 
 
 def test_shared_leaf_through_two_paths():
     rng = np.random.default_rng(5)
     x = Tensor(rng.uniform(-1, 1, (1, 2, 3, 3)), requires_grad=True)
-    loss_fn = lambda _leaf: add(sum_all(mul(x, x)), sum_all(x))
+    loss_fn = lambda: add(sum_all(mul(x, x)), sum_all(x))
     assert check_loss_gradients(loss_fn, [x]) < DEFAULT_THRESHOLD
 
 
@@ -77,13 +77,13 @@ def test_numeric_forwards_build_no_graph():
     w = Tensor(rng.uniform(-1, 1, (1, 2, 3, 3)), requires_grad=True)
     losses, graphs = [], []
 
-    def loss_fn(_leaf):
+    def loss_fn():
         losses.append(sum_all(mul(relu(x), w)))
         graphs.append(losses[-1]._parents != ())  # before backward consumes it
         return losses[-1]
 
-    rng = np.random.default_rng(0)
-    assert check_loss_gradients(loss_fn, [x, w], samples=5, rng=rng) < DEFAULT_THRESHOLD
+    picks = np.array([0, 7, 14, 21, 28])  # both leaves
+    assert check_loss_gradients(loss_fn, [x, w], picks) < DEFAULT_THRESHOLD
     analytic, numeric = losses[0], losses[1:]
     assert analytic.requires_grad and graphs[0]
     assert len(numeric) == 2 * 5
@@ -95,7 +95,7 @@ def test_leaf_flags_are_restored():
     rng = np.random.default_rng(3)
     x = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
     frozen = Tensor(rng.uniform(-1, 1, (2, 3)))
-    check_loss_gradients(lambda _leaf: sum_all(mul(x, frozen)), [x, frozen])
+    check_loss_gradients(lambda: sum_all(mul(x, frozen)), [x, frozen])
     assert x.requires_grad and not frozen.requires_grad
 
 
@@ -106,7 +106,7 @@ def test_leaf_flags_are_restored_when_loss_fn_raises():
     before = x.data.copy()
     calls = []
 
-    def loss_fn(_leaf):
+    def loss_fn():
         calls.append(None)
         if len(calls) == 4:  # inside the numeric loop, past its first coordinate
             raise RuntimeError("forward failed")
@@ -116,6 +116,31 @@ def test_leaf_flags_are_restored_when_loss_fn_raises():
         check_loss_gradients(loss_fn, [x, frozen])
     assert x.requires_grad and not frozen.requires_grad
     assert np.array_equal(x.data, before)
+
+
+def _wrong_grad_at(x, flat):
+    """Identity whose backward doubles the gradient at one flat coordinate."""
+    def grad_fn(g):
+        wrong = g.copy()
+        wrong.flat[flat] *= 2.0
+        return (wrong,)
+
+    return _record("wrong_grad_at", x.data.copy(), (x,), grad_fn)
+
+
+@pytest.mark.parametrize("picks, caught", [
+    (None, True),
+    ([10], True),                       # x[4], counted after all of w
+    ([4], False),                       # w[4]
+    ([0, 1, 2, 3, 5, 6, 7, 8, 9, 11], False),
+])
+def test_picks_choose_the_coordinates_checked(picks, caught):
+    rng = np.random.default_rng(6)
+    w = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    x = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
+    loss_fn = lambda: add(sum_all(w), sum_all(_wrong_grad_at(x, 4)))
+    err = check_loss_gradients(loss_fn, [w, x], None if picks is None else np.array(picks))
+    assert (err > DEFAULT_THRESHOLD) == caught
 
 
 def desk(**kw):
@@ -128,7 +153,7 @@ def full_forward_reference(config, batch, seed, samples=200):
     params = init_neck_params(config, seed)
     backbone = synthetic_backbone(16, 64, 64, batch, seed=seed + 1)
 
-    def loss_fn(_leaf):
+    def loss_fn():
         outs = cefpn_forward(backbone, params, config)
         loss = sum_all(outs.r2)
         for t in (outs.r3, outs.r4, outs.r5):
@@ -136,8 +161,9 @@ def full_forward_reference(config, batch, seed, samples=200):
         return loss
 
     leaves = [t for _name, t in params.named_parameters()]
-    rng = np.random.default_rng(seed + 2)
-    return check_loss_gradients(loss_fn, leaves, samples=samples, rng=rng)
+    total = sum(t.size for t in leaves)
+    picks = np.sort(np.random.default_rng(seed + 2).choice(total, samples, replace=False))
+    return check_loss_gradients(loss_fn, leaves, picks)
 
 
 @pytest.mark.parametrize("batch", [1, 2])
@@ -147,6 +173,16 @@ def test_end_to_end_equals_full_forward_reference(scheme, f5_p5, batch):
     config = desk(ssf_scheme=scheme, include_f5_p5=f5_p5)
     got = end_to_end_gradcheck(config, batch=batch, seed=1).max_rel_error
     assert got == full_forward_reference(config, batch, seed=1)
+
+
+@pytest.mark.parametrize("f5_p5", [False, True])
+@pytest.mark.parametrize("scheme", ["a", "b", "c"])
+def test_named_layers_list_the_pyramid_modules_first(scheme, f5_p5):
+    """The end-to-end check splits its picks at the pyramid layers' size."""
+    params = init_neck_params(desk(ssf_scheme=scheme, include_f5_p5=f5_p5), 0)
+    in_pyramid = [module in PYRAMID_MODULES for _name, module, _spec in params.named_layers()]
+    assert any(in_pyramid) and not all(in_pyramid)
+    assert in_pyramid == sorted(in_pyramid, reverse=True)
 
 
 @pytest.mark.parametrize("f5_p5", [False, True])
@@ -171,7 +207,7 @@ def test_full_forward_runs_only_for_pyramid_picks(f5_p5, monkeypatch):
         monkeypatch.setattr(cefpn.gradcheck, name, counted)
     end_to_end_gradcheck(config, seed=1)
     assert calls == {"cefpn_forward": 1 + 2 * prefix_picks, "pyramid_stage": 1,
-                     "head_stage": 2 * (200 - prefix_picks)}
+                     "head_stage": 1 + 2 * (200 - prefix_picks)}
 
 
 def test_end_to_end_catches_a_corrupted_neck_conv(corrupt_neck_conv):

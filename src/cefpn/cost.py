@@ -26,8 +26,9 @@ merge runs them.
 
 The plain feature pyramid baseline (laterals C2..C5, post-merge 3x3
 convolutions P2..P5) is the ``lateral``, ``top_down`` and ``post_merge``
-rows of the F5/P5 neck; each ablation variant adds one mechanism's modules
-(``VARIANTS``). Against it the model reproduces the reference deltas:
+rows of the F5/P5 neck, the ``baseline`` row of ``VARIANTS``; each other
+row adds one mechanism's modules. Against it the model reproduces the
+reference deltas:
 +2,098,176 parameters for scheme a, zero for schemes b/c, +8,720 for the
 attention module, and the full neck within 5% of the +27.28M total.
 
@@ -153,9 +154,10 @@ class DeltaSummary:
 
 
 _BASELINE_MODULES = ("lateral", "top_down", "post_merge")
-# Each ablation variant: the neck it is traced from, and the modules it adds
-# to the baseline's.
+# Each row of the ablation table: the neck it is traced from, and the modules
+# it tables on top of the baseline's.
 VARIANTS = {
+    "baseline": ({"include_f5_p5": True}, ()),
     "ssf_a": ({"ssf_scheme": "a", "include_f5_p5": True}, ("ssf",)),
     "ssf_b": ({"ssf_scheme": "b", "include_f5_p5": True}, ("ssf",)),
     "ssf_c": ({"ssf_scheme": "c", "include_f5_p5": True}, ("ssf",)),
@@ -209,9 +211,8 @@ def fpn_baseline_report(base_channel: int, geometry: tuple[int, int],
                         mac_convention: int = 2) -> CostReport:
     """The plain feature pyramid neck used as the comparison baseline:
     laterals for C2..C5 (F5 included) and post-merge convolutions P2..P5."""
-    # Any reduction valid at every width: the attention rows are not read.
-    config = NeckConfig(base_channel, attention_reduction=1, include_f5_p5=True)
-    return _report("baseline", config, geometry, mac_convention, _BASELINE_MODULES)
+    # Any reduction valid at every width: the attention rows are not tabled.
+    return variant_report("baseline", base_channel, geometry, mac_convention, 1)
 
 
 def cefpn_report(config: NeckConfig, geometry: tuple[int, int],
@@ -222,10 +223,11 @@ def cefpn_report(config: NeckConfig, geometry: tuple[int, int],
 
 def variant_report(variant: str, base_channel: int, geometry: tuple[int, int],
                    mac_convention: int = 2, attention_reduction: int = 32) -> CostReport:
-    """Baseline plus a single mechanism, as in the reference ablation table.
+    """One row of the reference ablation table: the plain pyramid
+    (``baseline``), or the baseline plus a single mechanism.
 
-    ``ssf_a``/``ssf_b``/``ssf_c`` and ``cag`` keep F5/P5 alongside the added
-    module; ``sce`` removes F5/P5 (the adopted configuration).
+    ``baseline``, ``ssf_a``/``ssf_b``/``ssf_c`` and ``cag`` keep F5/P5;
+    ``sce`` removes F5/P5 (the adopted configuration).
     """
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant {variant!r}")

@@ -7,13 +7,15 @@ forwards every checked leaf has ``requires_grad`` switched off (and restored
 afterwards), so they record no graph and keep nothing for a backward pass.
 Their values are bit for bit those of the graph forward. The end-to-end
 check is two such checks: pyramid parameters through the full neck, head
-parameters through the head alone over a fixed, detached pyramid.
+parameters through the head alone over a fixed, detached pyramid. A
+non-finite gradient on either side makes the error non-finite, which fails.
 Double precision is required; with h = ``DEFAULT_STEP`` = 1e-6 the
 truncation and roundoff floors sit far below the 1e-4 acceptance threshold.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -21,11 +23,11 @@ import numpy as np
 
 from .backbone import synthetic_backbone
 from .errors import ConfigError
-from .neck import PYRAMID_MODULES, NeckConfig, PyramidOutputs, cefpn_forward, head_stage, \
-    init_neck_params, pixel_shuffle, pixel_unshuffle, pyramid_stage
+from .neck import NeckConfig, PyramidOutputs, cefpn_forward, head_stage, init_neck_params, \
+    pixel_shuffle, pixel_unshuffle, pyramid_stage
 from .ops import ConvSpec, LinearSpec, conv2d, global_avg_pool, global_max_pool, \
     interpolate_nearest, linear, max_pool2d
-from .tensor import Tensor, add, backward, broadcast_spatial, channel_slice, \
+from .tensor import GradTape, Tensor, add, backward, broadcast_spatial, channel_slice, \
     mul, mul_channelwise, relu, scale, sigmoid, squeeze_spatial, sum_all
 
 DEFAULT_STEP = 1e-6
@@ -42,7 +44,14 @@ _NOISE_FLOOR_COEFF = 1e-4
 
 
 def relative_error(analytic: float, numeric: float, floor: float) -> float:
+    """NaN when either side is non-finite (inf / inf included)."""
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
+
+
+def _worse(a: float, b: float) -> float:
+    """The larger of two errors, where NaN counts as larger than any number.
+    (``max`` keeps its first argument against a NaN.)"""
+    return b if b > a or math.isnan(b) else a
 
 
 def central_difference(loss_fn: Callable[[], float], leaf: Tensor, flat_index: int) -> float:
@@ -73,6 +82,7 @@ def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
     ``leaves`` in order; None checks every coordinate. The numeric forwards
     run with every leaf's ``requires_grad`` off, so they build no graph;
     each leaf's flag is restored on return, also when ``loss_fn`` raises.
+    A non-finite analytic or numeric value at any pick makes the result NaN.
     """
     for leaf in leaves:
         if leaf.dtype != np.float64:
@@ -95,7 +105,7 @@ def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
             idx = int(flat - bounds[which])
             analytic = 0.0 if leaf.grad is None else float(leaf.grad.flat[idx])
             numeric = central_difference(lambda: loss_fn().item(), leaf, idx)
-            worst = max(worst, relative_error(analytic, numeric, floor))
+            worst = _worse(worst, relative_error(analytic, numeric, floor))
     finally:
         for leaf, flag in zip(leaves, flags):
             leaf.requires_grad = flag
@@ -213,25 +223,25 @@ def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
 
     The forward pass is rebuilt from the same parameter tensors on every
     evaluation, so each perturbation flows through every op it reaches.
-    ``named_parameters`` lists the ``PYRAMID_MODULES`` layers first; picks
-    among them are checked through the full neck, every other pick through
-    ``head_stage`` alone over a pyramid computed once and detached. The
-    error is the worse of the two checks.
+    A pick in a parameter that ``pyramid_stage``'s graph reaches is checked
+    through the full neck, every other pick through ``head_stage`` alone
+    over that pyramid, detached. The error is the worse of the two checks.
     """
     params = init_neck_params(config, seed)
     backbone = synthetic_backbone(config.base_channel, height, width, batch,
                                   seed=seed + 1, pattern=pattern)
     leaves = [t for _name, t in params.named_parameters()]
     total = sum(t.size for t in leaves)
-    split = sum(spec.weight.size + spec.bias.size for _name, module, spec in params.named_layers()
-                if module in PYRAMID_MODULES)
     if samples >= total:
         picks = np.arange(total)
     else:
         picks = np.sort(np.random.default_rng(seed + 2).choice(total, samples, replace=False))
+    pyramid = pyramid_stage(backbone, params, config)
+    reached = {id(t) for p in pyramid.values() for t in GradTape(p).leaves()}
+    in_pyramid = np.repeat([id(t) in reached for t in leaves], [t.size for t in leaves])[picks]
+    pyramid = {i: Tensor(p.data) for i, p in pyramid.items()}  # detached: frees the graph
     full = check_loss_gradients(lambda: _level_sum(cefpn_forward(backbone, params, config)),
-                                leaves, picks[picks < split])
-    pyramid = {i: Tensor(p.data) for i, p in pyramid_stage(backbone, params, config).items()}
+                                leaves, picks[in_pyramid])
     head = check_loss_gradients(lambda: _level_sum(head_stage(backbone, pyramid, params, config)),
-                                leaves, picks[picks >= split])
-    return EndToEndResult(max(full, head), len(picks), total)
+                                leaves, picks[~in_pyramid])
+    return EndToEndResult(_worse(full, head), len(picks), total)

@@ -14,8 +14,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .backbone import PATTERNS, check_geometry, synthetic_backbone
-from .cost import MAC_CONVENTIONS, VARIANTS, cefpn_report, compare_to_baseline, \
-    fpn_baseline_report, variant_report
+from .cost import MAC_CONVENTIONS, VARIANTS, cefpn_report, compare_to_baseline, variant_report
 from .errors import ConfigError
 from .gradcheck import DEFAULT_THRESHOLD, end_to_end_gradcheck, op_gradient_suite
 from .neck import NeckConfig, cefpn_forward, init_neck_params
@@ -172,7 +171,8 @@ def run_gradcheck(config: RunConfig) -> SuiteReport:
     per_op = op_gradient_suite(seed=config.seed)
     e2e = end_to_end_gradcheck(config.neck_config(), config.height, config.width,
                                config.batch, seed=config.seed, pattern=config.backbone_pattern)
-    # NaN compares false, so a NaN error fails here instead of hiding from max()
+    # A non-finite gradient makes its check's error NaN, and NaN compares false,
+    # so it fails here; the JSON reports it as null and the text line as nan.
     passed = all(e < DEFAULT_THRESHOLD for e in (*per_op.values(), e2e.max_rel_error))
     document = {
         "suite": "gradcheck",
@@ -198,18 +198,17 @@ def run_gradcheck(config: RunConfig) -> SuiteReport:
 
 
 def run_cost(config: RunConfig) -> SuiteReport:
-    """Cost reports for the baseline, each single-mechanism variant, and the
-    full neck, plus deltas against the baseline."""
+    """Cost reports for every row of ``VARIANTS`` (the baseline first, then
+    each single-mechanism variant) and the full neck, plus deltas against
+    the baseline."""
     neck = config.neck_config()
     geometry = (config.height, config.width)
     mac = config.mac_convention
-    baseline = fpn_baseline_report(config.base_channel, geometry, mac)
-    reports = [baseline]
-    for variant in VARIANTS:
-        reports.append(variant_report(variant, config.base_channel, geometry, mac,
-                                      attention_reduction=config.attention_reduction))
+    reports = [variant_report(variant, config.base_channel, geometry, mac,
+                              attention_reduction=config.attention_reduction)
+               for variant in VARIANTS]
     reports.append(cefpn_report(neck, geometry, mac))
-    deltas = [compare_to_baseline(r, baseline) for r in reports[1:]]
+    deltas = [compare_to_baseline(r, reports[0]) for r in reports[1:]]
     document = {
         "suite": "cost",
         "seed": config.seed,

@@ -432,16 +432,11 @@ def _check_params(backbone: BackbonePyramid, params: NeckParams, config: NeckCon
         raise ConfigError("ssf scheme a selected but no reduction layer allocated")
 
 
-# The modules whose layers ``pyramid_stage`` reads; ``head_stage`` reads the rest.
-PYRAMID_MODULES = ("lateral", "post_merge", "ssf")
-
-
 def pyramid_stage(backbone: BackbonePyramid, params: NeckParams,
                   config: NeckConfig) -> dict[int, Tensor]:
     """Laterals, skip fusion, top-down merge and post-merge convs.
 
-    Returns P2..P4, plus P5 when F5/P5 are kept. Reads only the layers of
-    ``PYRAMID_MODULES``.
+    Returns P2..P4, plus P5 when F5/P5 are kept.
     """
     _check_params(backbone, params, config)
     feats: dict[int, Tensor] = {}

@@ -5,12 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from cefpn import ConfigError, NeckConfig, Tensor, cefpn_forward, init_neck_params, ops, \
-    synthetic_backbone
+from cefpn import ConfigError, NeckConfig, RunConfig, Tensor, cefpn_forward, init_neck_params, \
+    ops, run_gradcheck, synthetic_backbone
 from cefpn.cli import main
 from cefpn.gradcheck import DEFAULT_THRESHOLD, check_loss_gradients, end_to_end_gradcheck, \
     op_gradient_suite
-from cefpn.neck import PYRAMID_MODULES
 from cefpn.tensor import _record, add, mul, relu, sum_all
 import cefpn.gradcheck
 
@@ -118,29 +117,38 @@ def test_leaf_flags_are_restored_when_loss_fn_raises():
     assert np.array_equal(x.data, before)
 
 
-def _wrong_grad_at(x, flat):
-    """Identity whose backward doubles the gradient at one flat coordinate."""
+def _wrong_grad_at(x, flat, factor=2.0):
+    """Identity whose backward scales the gradient at ``flat`` (a flat
+    coordinate or a slice of them) by ``factor``."""
     def grad_fn(g):
         wrong = g.copy()
-        wrong.flat[flat] *= 2.0
+        wrong.flat[flat] *= factor
         return (wrong,)
 
     return _record("wrong_grad_at", x.data.copy(), (x,), grad_fn)
 
 
+@pytest.mark.parametrize("factor", [2.0, np.nan])
 @pytest.mark.parametrize("picks, caught", [
-    (None, True),
+    (None, True),                       # x[5], a finite pick, comes after x[4]
     ([10], True),                       # x[4], counted after all of w
     ([4], False),                       # w[4]
     ([0, 1, 2, 3, 5, 6, 7, 8, 9, 11], False),
 ])
-def test_picks_choose_the_coordinates_checked(picks, caught):
+def test_picks_choose_the_coordinates_checked(picks, caught, factor):
     rng = np.random.default_rng(6)
     w = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
     x = Tensor(rng.uniform(-1, 1, (2, 3)), requires_grad=True)
-    loss_fn = lambda: add(sum_all(w), sum_all(_wrong_grad_at(x, 4)))
+    loss_fn = lambda: add(sum_all(w), sum_all(_wrong_grad_at(x, 4, factor)))
     err = check_loss_gradients(loss_fn, [w, x], None if picks is None else np.array(picks))
-    assert (err > DEFAULT_THRESHOLD) == caught
+    assert (not err < DEFAULT_THRESHOLD) == caught
+    assert np.isnan(err) == (caught and np.isnan(factor))
+
+
+def test_an_all_nan_gradient_fails():
+    x = Tensor(np.random.default_rng(8).uniform(-1, 1, (2, 3)), requires_grad=True)
+    err = check_loss_gradients(lambda: sum_all(_wrong_grad_at(x, slice(None), np.nan)), [x])
+    assert np.isnan(err)
 
 
 def desk(**kw):
@@ -176,26 +184,15 @@ def test_end_to_end_equals_full_forward_reference(scheme, f5_p5, batch):
 
 
 @pytest.mark.parametrize("f5_p5", [False, True])
-@pytest.mark.parametrize("scheme", ["a", "b", "c"])
-def test_named_layers_list_the_pyramid_modules_first(scheme, f5_p5):
-    """The end-to-end check splits its picks at the pyramid layers' size."""
-    params = init_neck_params(desk(ssf_scheme=scheme, include_f5_p5=f5_p5), 0)
-    in_pyramid = [module in PYRAMID_MODULES for _name, module, _spec in params.named_layers()]
-    assert any(in_pyramid) and not all(in_pyramid)
-    assert in_pyramid == sorted(in_pyramid, reverse=True)
-
-
-@pytest.mark.parametrize("f5_p5", [False, True])
 def test_full_forward_runs_only_for_pyramid_picks(f5_p5, monkeypatch):
     config = desk(ssf_scheme="a", include_f5_p5=f5_p5)
     params = init_neck_params(config, 1)
-    total = sum(t.size for _name, t in params.named_parameters())
-    # named_parameters lists the pyramid modules' layers first
-    prefix = sum(spec.weight.size + spec.bias.size
-                 for _name, module, spec in params.named_layers() if module in PYRAMID_MODULES)
-    picks = np.random.default_rng(3).choice(total, size=200, replace=False)
-    prefix_picks = int(np.count_nonzero(picks < prefix))
-    assert 0 < prefix_picks < 200
+    pyramid = ("lateral", "post_merge", "ssf")  # the modules pyramid_stage reads
+    in_pyramid = np.concatenate([np.full(t.size, name.split(".")[0] in pyramid)
+                                 for name, t in params.named_parameters()])
+    picks = np.random.default_rng(3).choice(in_pyramid.size, size=200, replace=False)
+    pyramid_picks = int(np.count_nonzero(in_pyramid[picks]))
+    assert 0 < pyramid_picks < 200
     calls = {"cefpn_forward": 0, "pyramid_stage": 0, "head_stage": 0}
     for name in calls:
         real = getattr(cefpn.gradcheck, name)
@@ -206,8 +203,8 @@ def test_full_forward_runs_only_for_pyramid_picks(f5_p5, monkeypatch):
 
         monkeypatch.setattr(cefpn.gradcheck, name, counted)
     end_to_end_gradcheck(config, seed=1)
-    assert calls == {"cefpn_forward": 1 + 2 * prefix_picks, "pyramid_stage": 1,
-                     "head_stage": 1 + 2 * (200 - prefix_picks)}
+    assert calls == {"cefpn_forward": 1 + 2 * pyramid_picks, "pyramid_stage": 1,
+                     "head_stage": 1 + 2 * (200 - pyramid_picks)}
 
 
 def test_end_to_end_catches_a_corrupted_neck_conv(corrupt_neck_conv):
@@ -220,3 +217,18 @@ def test_cli_exits_one_on_a_corrupted_neck_conv(corrupt_neck_conv, tmp_path, cap
     doc = json.loads((tmp_path / "gradcheck_report.json").read_text())
     assert doc["end_to_end"]["max_rel_error"] > DEFAULT_THRESHOLD
     assert all(err < DEFAULT_THRESHOLD for err in doc["ops"].values())
+
+
+def test_end_to_end_fails_a_nan_gradient_on_either_side(nan_neck_conv):
+    """A NaN from only the pyramid check, or from only the head check."""
+    assert np.isnan(end_to_end_gradcheck(desk(), seed=0).max_rel_error)
+
+
+@pytest.mark.parametrize("nan_neck_conv", ["sce.local_3x3"], indirect=True)
+def test_cli_exits_one_on_a_nan_head_gradient(nan_neck_conv, tmp_path, capsys):
+    report = run_gradcheck(RunConfig(suite="gradcheck"))
+    assert not report.passed and report.document["end_to_end"]["max_rel_error"] is None
+    assert report.text.splitlines()[-1] == "result: FAIL"
+    assert main(["--suite", "gradcheck", "--out", str(tmp_path)]) == 1
+    doc = json.loads((tmp_path / "gradcheck_report.json").read_text())
+    assert doc["end_to_end"]["max_rel_error"] is None and not doc["passed"]

@@ -13,7 +13,6 @@ from cefpn import BackbonePyramid, ConfigError, ConvSpec, LinearSpec, NeckConfig
     cefpn_forward, conv2d, global_avg_pool, global_max_pool, head_stage, init_neck_params, \
     interpolate_nearest, linear, max_pool2d, pixel_shuffle, pyramid_stage, sce_forward, \
     ssf_fuse, synthetic_backbone, top_down_merge
-from cefpn.neck import PYRAMID_MODULES
 from cefpn.tensor import broadcast_spatial, channel_slice, mul_channelwise, relu, \
     scale, sigmoid, squeeze_spatial, sum_all
 
@@ -444,6 +443,33 @@ class TestCefpnForward:
             assert got.dtype == np.float32
             assert np.max(np.abs(got - ref)) <= 1e-5 * np.max(np.abs(ref)), f"R{i}"
 
+    @pytest.mark.parametrize("width, reduction, scheme, f5_p5, batch, seeds", [
+        *[(16, 4, scheme, f5_p5, 2, (0, 1)) for scheme in "abc" for f5_p5 in (False, True)],
+        (256, 32, "c", False, 1, (0,)),
+    ])
+    def test_float32_parameter_gradients_match_float64(self, width, reduction, scheme, f5_p5,
+                                                       batch, seeds):
+        """Per parameter: max|g32 - g64| <= 1e-5 * max(max|g64|, 1e-3 * the
+        step's largest |g64|). The floor covers a dead branch, whose
+        gradients are all zero (cag.fc2_* at seed 1, schemes b/c)."""
+        from cefpn import backward
+        config = NeckConfig(base_channel=width, ssf_scheme=scheme,
+                            attention_reduction=reduction, include_f5_p5=f5_p5)
+
+        def step_gradients(seed, dtype):
+            params = init_neck_params(config, seed, dtype=dtype)
+            pyramid = synthetic_backbone(width, 64, 64, batch=batch, seed=seed + 1, dtype=dtype)
+            backward(level_sum_loss(cefpn_forward(pyramid, params, config)))
+            return {name: t.grad for name, t in params.named_parameters()}
+
+        for seed in seeds:
+            ref = step_gradients(seed, np.float64)
+            floor = 1e-3 * max(np.max(np.abs(g)) for g in ref.values())
+            for name, got in step_gradients(seed, np.float32).items():
+                assert got.dtype == np.float32, name
+                err = np.max(np.abs(got.astype(np.float64) - ref[name]))
+                assert err <= 1e-5 * max(np.max(np.abs(ref[name])), floor), f"seed {seed}: {name}"
+
 
 class TestGraphFree:
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
@@ -537,7 +563,7 @@ class TestStages:
         backward(loss)
         reached = {name for name, t in params.named_parameters() if t.grad is not None}
         want = {f"{name}.{part}" for name, module, _spec in params.named_layers()
-                if module in PYRAMID_MODULES for part in ("weight", "bias")}
+                if module in ("lateral", "post_merge", "ssf") for part in ("weight", "bias")}
         assert reached == want
         # the head over a graph-free pyramid reaches every other parameter
         frozen = {i: Tensor(p.data) for i, p in pyramid.items()}

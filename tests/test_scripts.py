@@ -19,14 +19,6 @@ def test_reproduce_cost_deltas_exits_zero():
     assert done.returncode == 0, done.stdout + done.stderr
 
 
-def test_desk_demo_exits_zero(tmp_path):
-    done = run_script("scripts/desk_demo.py", "--out", str(tmp_path))
-    assert done.returncode == 0, done.stdout + done.stderr
-    assert sorted(p.name for p in tmp_path.iterdir()) == [
-        f"{suite}_report.{ext}" for suite in ("cost", "forward", "gradcheck")
-        for ext in ("json", "txt")]
-
-
 def test_package_main_prints_cost_report():
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = run_script("-m", "cefpn", "--suite", "cost", env={**os.environ, "PYTHONPATH": path})

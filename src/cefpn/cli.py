@@ -8,7 +8,8 @@ Flags override values from ``--config``. With ``--out``, each suite writes
 ``<suite>_report.json`` and ``<suite>_report.txt`` plus a ``config.json``
 echo that reproduces the run byte for byte; without it, JSON reports go to
 stdout. Diagnostics go to stderr only. Exit status: 0 if every selected
-suite passed, 1 on suite failure, 2 on bad configuration.
+suite passed, 1 on suite failure, 2 on bad configuration or an ``--out``
+directory that cannot be created (checked before any suite runs).
 """
 
 from __future__ import annotations
@@ -76,12 +77,16 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _load_config(args)
+        if args.out is not None:
+            try:
+                args.out.mkdir(parents=True, exist_ok=True)
+            except OSError as e:
+                raise ConfigError(f"cannot create output directory {args.out}: {e}") from e
         reports = run_suites(config)
     except (ConfigError, ShapeError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         (args.out / "config.json").write_text(
             json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n")
         for report in reports:

@@ -294,7 +294,11 @@ def ssf_fuse(c_hi: Tensor, f_lo: Tensor, scheme: str, params: NeckParams) -> Ten
 def top_down_merge(features: dict[int, Tensor], params: NeckParams) -> dict[int, Tensor]:
     """Classic top-down pathway: accumulate by 2x nearest upsampling and
     elementwise sum from the top level down, then a 3x3 convolution per
-    level, finest first."""
+    level, finest first.
+
+    ``features`` is consumed: each lateral is popped as it is merged, so
+    without a graph it is freed before the post-merge convs run.
+    """
     if not features:
         raise ShapeError("top_down_merge: no levels given")
     levels = sorted(features, reverse=True)
@@ -302,7 +306,7 @@ def top_down_merge(features: dict[int, Tensor], params: NeckParams) -> dict[int,
     merged: dict[int, Tensor] = {}
     prev: int | None = None
     for i in levels:
-        f = features[i]
+        f = features.pop(i)
         if f.shape[1] != width:
             raise ShapeError(f"top_down_merge: level {i} width {f.shape[1]} != {width}")
         if prev is None:
@@ -316,6 +320,7 @@ def top_down_merge(features: dict[int, Tensor], params: NeckParams) -> dict[int,
             with scope(f"top_down.add_F{i}"):
                 merged[i] = add(f, up)
         prev = i
+    f = up = None
     outputs: dict[int, Tensor] = {}
     for i in reversed(levels):
         if i not in params.post_convs:

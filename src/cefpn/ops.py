@@ -221,7 +221,9 @@ def _conv3x3_shifted(x: Tensor, spec: ConvSpec) -> Tensor:
     row keeps the last tap inside the plane. Positions with ``x >= w`` are
     junk: the forward crops them and the backward lays the upstream gradient
     out with zeros there. The graph keeps the padded input (~1.1x the input)
-    instead of a 9x ``cols``.
+    instead of a 9x ``cols``. The forward adds each tap product image by
+    image, so its temp holds one image: these are the per-image GEMMs that
+    a batched ``matmul`` issues, and every sum is the same.
     """
     n, c, h, w = x.shape
     o, wp = spec.out_channels, w + 2
@@ -233,10 +235,11 @@ def _conv3x3_shifted(x: Tensor, spec: ConvSpec) -> Tensor:
     taps = _tap_major(spec.weight.data)
 
     acc = np.matmul(taps[0], xp[:, :, :m])  # (n, o, h*(w+2))
-    prod = np.empty_like(acc)
-    for t in range(1, 9):
-        np.matmul(taps[t], xp[:, :, offsets[t]:offsets[t] + m], out=prod)
-        acc += prod
+    prod = np.empty((o, m), dtype=acc.dtype)  # one image's tap product
+    for xi, ai in zip(xp, acc):
+        for t in range(1, 9):
+            np.matmul(taps[t], xi[:, offsets[t]:offsets[t] + m], out=prod)
+            ai += prod
     del taps, prod  # freed before the crop copy
     out = acc.reshape(n, o, h, wp)[:, :, :, :w]
     out = out + spec.bias.data.reshape(1, o, 1, 1)

@@ -15,6 +15,7 @@ from cefpn.backbone import ramp_level
 from cefpn.cli import _load_config, build_parser, main
 from cefpn.gradcheck import DEFAULT_THRESHOLD
 from cefpn.harness import SUITES, SuiteReport, _level_stats, run_suites
+import cefpn.cli
 import cefpn.harness
 import cefpn.neck
 
@@ -368,6 +369,21 @@ class TestCli:
         assert captured.out == ""
         lines = [l for l in captured.err.splitlines() if l]
         assert len(lines) == 1 and "divisible by 64" in lines[0]
+
+    def test_unusable_out_exits_two_before_any_suite(self, tmp_path, monkeypatch, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+
+        def no_suite(config):
+            raise AssertionError("a suite ran before --out was checked")
+
+        monkeypatch.setattr(cefpn.cli, "run_suites", no_suite)
+        code = main(["--suite", "cost", "--out", str(blocker / "sub")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = [l for l in captured.err.splitlines() if l]
+        assert len(lines) == 1 and lines[0].startswith("error: cannot create output directory")
 
     def test_nonfinite_forward_exits_one(self, monkeypatch, capsys):
         poison_level(monkeypatch, "r2", [np.nan])

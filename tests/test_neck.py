@@ -2,6 +2,7 @@
 attention guidance, and the assembled forward pass."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -513,6 +514,24 @@ class TestGraphFree:
         assert len(refs) == 12 and all(r() is None for r in refs)
         outs, refs = conv_outputs(requires_grad=True)  # the recorded graph holds them
         assert all(r() is not None for r in refs)
+
+    @pytest.mark.parametrize("f5_p5", [False, True])
+    @pytest.mark.parametrize("scheme", ["a", "b", "c"])
+    def test_working_set_stays_under_five_c2_maps(self, scheme, f5_p5):
+        # Each lateral and the last upsample are freed before post_merge.P2
+        # runs, and the shifted conv's temp holds one image. Holding F2 and
+        # its upsample through P2 costs two more C2-sized maps.
+        config = NeckConfig(base_channel=32, ssf_scheme=scheme, include_f5_p5=f5_p5)
+        params = init_neck_params(config, 0, dtype=np.float32, requires_grad=False)
+        backbone = synthetic_backbone(32, 256, 256, batch=2, seed=1, dtype=np.float32)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cefpn_forward(backbone, params, config)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * backbone.c2.data.nbytes
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_params_equal_one_whole_draw_per_tensor(self, dtype):

@@ -217,6 +217,28 @@ class TestConv3x3Shifted:
         assert retained <= 1.25 * (32 * 66 * 66 * 8)
 
 
+class TestConvBatchIndependence:
+    """A conv over n stacked images equals n one-image calls bit for bit: the
+    shifted path's per-image tap sums and the float32 bench check rely on it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("cin, cout, k, size", [
+        (8, 16, 3, 8),       # shifted: o < h*w
+        (128, 128, 3, 32),   # shifted, at P3's reference extent
+        (8, 64, 3, 4),       # im2col: o >= n*h*w
+        (16, 8, 1, 8),       # 1x1
+    ])
+    def test_stacked_equals_one_image_calls(self, cin, cout, k, size, n, dtype):
+        rng = np.random.default_rng(cin + cout + n)
+        x = rng.uniform(-1, 1, (n, cin, size, size)).astype(dtype)
+        spec = ConvSpec(cin, cout, k, Tensor(rng.uniform(-1, 1, (cout, cin, k, k)).astype(dtype)),
+                        Tensor(rng.uniform(-1, 1, (cout,)).astype(dtype)))
+        stacked = conv2d(Tensor(x), spec).data
+        for i in range(n):
+            assert np.array_equal(stacked[i], conv2d(Tensor(x[i:i + 1]), spec).data[0]), i
+
+
 class TestMaxPool:
     def test_constant_field(self):
         out = max_pool2d(Tensor(np.full((1, 2, 4, 4), 3.25)), 2, 2)

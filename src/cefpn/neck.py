@@ -431,10 +431,6 @@ def _check_params(backbone: BackbonePyramid, params: NeckParams, config: NeckCon
     for i in config.levels:
         if i not in params.laterals:
             raise ConfigError(f"missing lateral convolution for level {i}")
-        if i not in params.post_convs:
-            raise ConfigError(f"missing post-merge convolution for level {i}")
-    if config.ssf_scheme == "a" and params.ssf_reduce is None:
-        raise ConfigError("ssf scheme a selected but no reduction layer allocated")
 
 
 def pyramid_stage(backbone: BackbonePyramid, params: NeckParams,

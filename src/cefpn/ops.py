@@ -3,8 +3,8 @@
 Every convolution is stride 1 with "same" zero padding, so it keeps its
 input's extent; kernels are 1x1 or 3x3, and every layer carries a bias.
 Max pooling maps an extent e to (e + 2*padding - kernel) // stride + 1.
-Padded inputs of im2col convolutions (zeros) and max pooling (-inf) come
-from ``_pad``, which fills one ``np.empty`` buffer by slice assignment.
+Every padded input is one ``np.zeros`` buffer, or ``np.full(-inf)`` for
+max pooling, with the input written into its interior.
 A 3x3 convolution whose output channels are below n*h*w (so its tap-major
 weight copy is smaller than im2col's ``cols``) runs as nine shifted GEMMs
 over the flat padded input, with no im2col copy (see ``_conv3x3_shifted``).
@@ -123,25 +123,12 @@ class LinearSpec:
         return cls(in_features, out_features, weight, make((out_features,), in_features))
 
 
-def _pad(a: np.ndarray, p: int, fill: float = 0.0) -> np.ndarray:
-    """``np.pad(a, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=fill)``
-    for an (n, c, h, w) array, bit for bit: one ``np.empty`` buffer whose
-    border and interior are written by slice assignment."""
-    n, c, h, w = a.shape
-    out = np.empty((n, c, h + 2 * p, w + 2 * p), dtype=a.dtype)
-    out[:, :, :p] = fill
-    out[:, :, h + p:] = fill
-    out[:, :, p:h + p, :p] = fill
-    out[:, :, p:h + p, w + p:] = fill
-    out[:, :, p:h + p, p:w + p] = a
-    return out
-
-
 def _gather_windows(x: np.ndarray) -> np.ndarray:
     """(n, c, h, w) input -> (n, c, 3, 3, h, w) stack of its zero-padded 3x3
     windows."""
     n, c, h, w = x.shape
-    padded = _pad(x, 1)
+    padded = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
+    padded[:, :, 1:h + 1, 1:w + 1] = x
     cols = np.empty((n, c, 3, 3, h, w), dtype=x.dtype)
     for ky in range(3):
         for kx in range(3):
@@ -271,22 +258,29 @@ def _conv3x3_shifted(x: Tensor, spec: ConvSpec) -> Tensor:
 def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     """Per-window maximum; padding positions hold -inf and are never selected.
 
+    ``padding`` must be below ``kernel``, so every window holds an input value.
+
     A running maximum over the k^2 window taps, each a strided view of the
     input. When ``x`` requires grad, the first maximal tap in row-major scan
     order is tracked too (strict ``>``), for the backward pass.
     """
     if x.data.ndim != 4:
         raise ShapeError(f"max_pool2d: input must be 4-d, got shape {x.shape}")
-    if kernel < 1 or stride < 1:
-        raise ConfigError(f"max_pool2d: kernel and stride must be >= 1, got {kernel}, {stride}")
+    if (any(type(v) is not int for v in (kernel, stride, padding))  # bool is not int here
+            or kernel < 1 or stride < 1 or not 0 <= padding < kernel):
+        raise ConfigError(f"max_pool2d: need integers kernel, stride >= 1 and 0 <= padding < "
+                          f"kernel, got {kernel!r}, {stride!r}, {padding!r}")
     n, c, h, w = x.shape
     oh = (h + 2 * padding - kernel) // stride + 1
     ow = (w + 2 * padding - kernel) // stride + 1
-    if h + 2 * padding < kernel or w + 2 * padding < kernel or oh < 1 or ow < 1:
+    if oh < 1 or ow < 1:
         raise ShapeError(
             f"max_pool2d: window {kernel}x{kernel} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
 
-    padded = _pad(x.data, padding, NEG_INF) if padding else x.data
+    padded = x.data
+    if padding:
+        padded = np.full((n, c, h + 2 * padding, w + 2 * padding), NEG_INF, dtype=x.dtype)
+        padded[:, :, padding:padding + h, padding:padding + w] = x.data
     taps = [padded[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride]
             for ky in range(kernel) for kx in range(kernel)]
     out = taps[0].copy()

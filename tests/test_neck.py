@@ -384,6 +384,19 @@ class TestCefpnForward:
         with pytest.raises(ConfigError, match="lateral.C4: conv2d"):
             cefpn_forward(pyramid, broken, config)
 
+    @pytest.mark.parametrize("config_kw, drop_post_conv, match", [
+        (dict(include_f5_p5=True), None, "level 5"),  # F5/P5 config, F5/P5-free params
+        ({}, 2, "level 2"),
+        (dict(ssf_scheme="a"), None, "scheme a"),  # scheme-a config, scheme-c params
+    ])
+    def test_parameters_missing_a_layer_rejected(self, config_kw, drop_post_conv, match):
+        _, params, pyramid = desk_setup()
+        if drop_post_conv is not None:
+            params = dataclasses.replace(params, post_convs={
+                i: spec for i, spec in params.post_convs.items() if i != drop_post_conv})
+        with pytest.raises(ConfigError, match=match):
+            cefpn_forward(pyramid, params, desk_config(**config_kw))
+
     def test_backbone_width_mismatch_rejected(self):
         config, params, _ = desk_setup()
         other = synthetic_backbone(8, 64, 64, seed=1)

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from cefpn import ConfigError, ConvSpec, LinearSpec, ShapeError, Tensor, backward, conv2d, \
     global_avg_pool, global_max_pool, interpolate_nearest, linear, max_pool2d, mul, sum_all
 from cefpn import ops
-from cefpn.ops import _pad
 from oracles import conv2d_grad_loops, conv2d_loops, global_avg_loops, global_max_loops, \
     interp_nearest_grad_loops, interp_nearest_loops, linear_loops, max_pool_grad_loops, \
     max_pool_loops
@@ -265,16 +264,26 @@ class TestMaxPool:
         with pytest.raises(ShapeError):
             max_pool2d(Tensor(np.zeros((1, 1, 2, 2))), 5, 1, 1)
 
+    @pytest.mark.parametrize("kernel, stride, padding", [
+        (2.0, 2, 0), (3, 2.0, 1), (3, 2, 1.0), (True, 2, 0), (3, True, 1), (3, 2, True),
+        (3, 2, -1), (3, 1, 3), (1, 2, 1), (2, 2, 5)])
+    def test_rejects_arguments_it_cannot_honour(self, kernel, stride, padding):
+        # non-integers, negative padding, and padding >= kernel, where some
+        # window would lie wholly in the padding
+        with pytest.raises(ConfigError):
+            max_pool2d(Tensor(np.zeros((1, 1, 6, 6))), kernel, stride, padding)
+
     @settings(max_examples=150, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.integers(1, 3),
            st.integers(1, 4), st.integers(1, 3), st.integers(0, 1),
-           st.integers(4, 7), st.integers(4, 7), st.booleans())
+           st.integers(4, 7), st.integers(4, 7), st.booleans(),
+           st.sampled_from([np.float32, np.float64]))
     def test_property_matches_loop_oracle(self, seed, n, c, kernel, stride, padding, h, w,
-                                          requires_grad):
+                                          requires_grad, dtype):
         if padding >= kernel or h + 2 * padding < kernel or w + 2 * padding < kernel:
             return
         rng = np.random.default_rng(seed)
-        x = rng.uniform(-1, 1, (n, c, h, w))
+        x = rng.uniform(-1, 1, (n, c, h, w)).astype(dtype)
         got = max_pool2d(Tensor(x, requires_grad=requires_grad), kernel, stride, padding)
         assert np.array_equal(got.data, max_pool_loops(x, kernel, stride, padding))
 
@@ -407,16 +416,3 @@ class TestLinear:
         spec = LinearSpec(3, 2, Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
         with pytest.raises(error):
             linear(Tensor(np.zeros(shape)), spec)
-
-
-class TestPad:
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 10 ** 6), st.integers(1, 2), st.integers(1, 2), st.integers(1, 2),
-           st.integers(1, 5), st.integers(1, 5), st.sampled_from([0.0, -np.inf]),
-           st.sampled_from([np.float32, np.float64]))
-    def test_matches_np_pad_bit_for_bit(self, seed, n, c, p, h, w, fill, dtype):
-        a = np.random.default_rng(seed).uniform(-1, 1, (n, c, h, w)).astype(dtype)
-        got = _pad(a, p, fill)
-        expect = np.pad(a, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=fill)
-        assert got.dtype == expect.dtype and got.shape == expect.shape
-        assert got.tobytes() == expect.tobytes()

@@ -46,7 +46,7 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
     """
     if x.data.ndim != 4:
         raise ShapeError(f"pixel_shuffle: input must be 4-d, got shape {x.shape}")
-    if not isinstance(r, int) or r < 1:
+    if type(r) is not int or r < 1:  # bool is not int here
         raise ConfigError(f"pixel_shuffle: upscale factor must be a positive integer, got {r}")
     c = x.shape[1]
     if c % (r * r) != 0:
@@ -73,7 +73,7 @@ def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
     """Exact inverse of ``pixel_shuffle``: (n, C, r*h, r*w) -> (n, C*r^2, h, w)."""
     if x.data.ndim != 4:
         raise ShapeError(f"pixel_unshuffle: input must be 4-d, got shape {x.shape}")
-    if not isinstance(r, int) or r < 1:
+    if type(r) is not int or r < 1:
         raise ConfigError(f"pixel_unshuffle: upscale factor must be a positive integer, got {r}")
     h, w = x.shape[2], x.shape[3]
     if h % r != 0 or w % r != 0:
@@ -262,9 +262,6 @@ def ssf_fuse(c_hi: Tensor, f_lo: Tensor, scheme: str, params: NeckParams) -> Ten
     if src not in (4 * c, 8 * c):
         raise ConfigError(
             f"ssf source has {src} channels; expected 4x or 8x the pyramid width {c}")
-    if f_lo.shape[2] != 2 * c_hi.shape[2] or f_lo.shape[3] != 2 * c_hi.shape[3]:
-        raise ShapeError(
-            f"ssf target extent {f_lo.shape[2:]} must be exactly twice the source {c_hi.shape[2:]}")
 
     if src == 4 * c:
         with scope("ssf.shuffle_C4"):
@@ -272,9 +269,9 @@ def ssf_fuse(c_hi: Tensor, f_lo: Tensor, scheme: str, params: NeckParams) -> Ten
         with scope("ssf.fuse_F3"):
             return add(f_lo, up)
     if scheme == "a":
-        if params.ssf_reduce is None:
-            raise ConfigError("ssf scheme a needs the 8c -> 4c reduction layer, none was built")
         with scope("ssf.reduce_C5"):
+            if params.ssf_reduce is None:
+                raise ConfigError("ssf scheme a needs the 8c -> 4c reduction layer, none was built")
             reduced = conv2d(c_hi, params.ssf_reduce)
         with scope("ssf.shuffle_C5"):
             first = pixel_shuffle(reduced, 2)
@@ -302,30 +299,24 @@ def top_down_merge(features: dict[int, Tensor], params: NeckParams) -> dict[int,
     if not features:
         raise ShapeError("top_down_merge: no levels given")
     levels = sorted(features, reverse=True)
-    width = features[levels[0]].shape[1]
     merged: dict[int, Tensor] = {}
     prev: int | None = None
     for i in levels:
         f = features.pop(i)
-        if f.shape[1] != width:
-            raise ShapeError(f"top_down_merge: level {i} width {f.shape[1]} != {width}")
         if prev is None:
             merged[i] = f
         else:
             with scope(f"top_down.upsample_to_F{i}"):
                 up = interpolate_nearest(merged[prev], 2)
-            if up.shape != f.shape:
-                raise ShapeError(
-                    f"top_down_merge: level {i} shape {f.shape} does not sit 2x below level {prev}")
             with scope(f"top_down.add_F{i}"):
                 merged[i] = add(f, up)
         prev = i
     f = up = None
     outputs: dict[int, Tensor] = {}
     for i in reversed(levels):
-        if i not in params.post_convs:
-            raise ConfigError(f"top_down_merge: no 3x3 convolution for level {i}")
         with scope(f"post_merge.P{i}"):
+            if i not in params.post_convs:
+                raise ConfigError(f"top_down_merge: no 3x3 convolution for level {i}")
             outputs[i] = conv2d(merged[i], params.post_convs[i])
     return outputs
 
@@ -337,13 +328,10 @@ def sce_forward(c5: Tensor, params: NeckParams) -> Tensor:
     2. 3x3 max pool to half extent, 1x1 convolution 8c -> 16c, then 4x
        pixel shuffle (wider receptive field);
     3. global average pool, 1x1 squeeze 8c -> c, broadcast (global context).
+
+    An odd C5 extent h pools to (h + 1) / 2, so pathway 2 emits 2h + 2
+    against 2h and the sum at ``sce.aggregate`` rejects it.
     """
-    c = params.sce_squeeze.out_channels
-    if c5.shape[1] != 8 * c:
-        raise ConfigError(f"sce: C5 has {c5.shape[1]} channels, expected 8c = {8 * c}")
-    n, _, h5, w5 = c5.shape
-    if h5 % 2 != 0 or w5 % 2 != 0:
-        raise ShapeError(f"sce: C5 extent {h5}x{w5} must be even")
     with scope("sce.local_3x3"):
         local = conv2d(c5, params.sce_local)
     with scope("sce.local_shuffle"):
@@ -359,7 +347,7 @@ def sce_forward(c5: Tensor, params: NeckParams) -> Tensor:
     with scope("sce.squeeze_1x1"):
         squeezed = conv2d(pooled, params.sce_squeeze)
     with scope("sce.broadcast"):
-        ctx = broadcast_spatial(squeezed, 2 * h5, 2 * w5)
+        ctx = broadcast_spatial(squeezed, 2 * c5.shape[2], 2 * c5.shape[3])
     with scope("sce.aggregate"):
         return add(add(local, wide), ctx)
 
@@ -374,13 +362,6 @@ def build_integration_map(p2: Tensor, p3: Tensor, p4: Tensor, sce_out: Tensor) -
         down2 = max_pool2d(p2, kernel=4, stride=4)
     with scope("integration.pool_P3"):
         down3 = max_pool2d(p3, kernel=2, stride=2)
-    if down2.shape != p4.shape or down3.shape != p4.shape:
-        raise ShapeError(
-            f"integration: resized extents {down2.shape[2:]}, {down3.shape[2:]} "
-            f"do not match P4 {p4.shape[2:]}")
-    if sce_out.shape != p4.shape:
-        raise ShapeError(
-            f"integration: context map shape {sce_out.shape} does not match P4 {p4.shape}")
     with scope("integration.mean"):
         mean = scale(add(add(down2, down3), p4), 1.0 / 3.0)
     with scope("integration.add_context"):
@@ -394,11 +375,6 @@ def cag_weights(integration: Tensor, params: NeckParams) -> Tensor:
     two-layer bottlenecks c -> c/r -> c with a rectifier in between. Returns
     (n, c); every entry lies strictly inside (0, 1).
     """
-    c = params.cag_fc1_squeeze.in_features
-    if integration.shape[1] != c:
-        raise ConfigError(
-            f"cag: integration map has {integration.shape[1]} channels, "
-            f"attention layers expect {c}")
     with scope("cag.avg_pool"):
         avg = squeeze_spatial(global_avg_pool(integration))
     with scope("cag.max_pool"):
@@ -423,26 +399,17 @@ def cag_apply(pyramid_level: Tensor, weights: Tensor) -> Tensor:
     return mul_channelwise(pyramid_level, weights)
 
 
-def _check_params(backbone: BackbonePyramid, params: NeckParams, config: NeckConfig) -> None:
-    c = config.base_channel
-    if backbone.base_channel != c:
-        raise ConfigError(
-            f"backbone base channel {backbone.base_channel} != configured {c}")
-    for i in config.levels:
-        if i not in params.laterals:
-            raise ConfigError(f"missing lateral convolution for level {i}")
-
-
 def pyramid_stage(backbone: BackbonePyramid, params: NeckParams,
                   config: NeckConfig) -> dict[int, Tensor]:
     """Laterals, skip fusion, top-down merge and post-merge convs.
 
     Returns P2..P4, plus P5 when F5/P5 are kept.
     """
-    _check_params(backbone, params, config)
     feats: dict[int, Tensor] = {}
     for i in config.levels:
         with scope(f"lateral.C{i}"):
+            if i not in params.laterals:
+                raise ConfigError(f"missing lateral convolution for level {i}")
             feats[i] = conv2d(backbone.level(i), params.laterals[i])
     feats[3] = ssf_fuse(backbone.c4, feats[3], config.ssf_scheme, params)
     feats[4] = ssf_fuse(backbone.c5, feats[4], config.ssf_scheme, params)
@@ -476,6 +443,7 @@ def cefpn_forward(backbone: BackbonePyramid, params: NeckParams,
     then ``head_stage`` (context, attention).
 
     Every op runs under the module path of its cost-table row
-    (``lateral.C4``, ``cag.apply_R2``).
+    (``lateral.C4``, ``cag.apply_R2``), and each shape or configuration
+    error names that path: the op that needs a rule checks it.
     """
     return head_stage(backbone, pyramid_stage(backbone, params, config), params, config)

@@ -340,7 +340,7 @@ def interpolate_nearest(x: Tensor, scale: int) -> Tensor:
     """Nearest-neighbour upsampling: output(y, x) = input(y // scale, x // scale)."""
     if x.data.ndim != 4:
         raise ShapeError(f"interpolate_nearest: input must be 4-d, got shape {x.shape}")
-    if not isinstance(scale, int) or scale < 1:
+    if type(scale) is not int or scale < 1:  # bool is not int here
         raise ConfigError(f"interpolate_nearest: scale must be a positive integer, got {scale}")
     n, c, h, w = x.shape
 

@@ -323,6 +323,8 @@ def channel_slice(x: Tensor, start: int, stop: int) -> Tensor:
     """Select channels [start, stop) of a 4-d tensor."""
     if x.data.ndim != 4:
         raise ShapeError(f"channel_slice: x must be 4-d, got shape {x.shape}")
+    if type(start) is not int or type(stop) is not int:  # bool is not int here
+        raise ConfigError(f"channel_slice: bounds must be integers, got {start!r}, {stop!r}")
     c = x.shape[1]
     if not (0 <= start < stop <= c):
         raise ShapeError(f"channel_slice: range [{start}, {stop}) invalid for {c} channels")
@@ -339,6 +341,9 @@ def broadcast_spatial(x: Tensor, height: int, width: int) -> Tensor:
     """Tile an (n, c, 1, 1) tensor to (n, c, height, width)."""
     if x.data.ndim != 4 or x.shape[2] != 1 or x.shape[3] != 1:
         raise ShapeError(f"broadcast_spatial: expected (n, c, 1, 1), got {x.shape}")
+    if type(height) is not int or type(width) is not int:
+        raise ConfigError(
+            f"broadcast_spatial: target extent must be integers, got {height!r}, {width!r}")
     if height < 1 or width < 1:
         raise ShapeError(f"broadcast_spatial: target extent {height}x{width} invalid")
     n, c = x.shape[0], x.shape[1]

@@ -327,6 +327,62 @@ class TestCag:
             cag_apply(rand((1, 16, 4, 4), 48), Tensor(np.ones(shape)))
 
 
+def desk_forward(params, backbone_width=16, **config_kw):
+    backbone = synthetic_backbone(backbone_width, 64, 64, seed=1)
+    return cefpn_forward(backbone, params, desk_config(**config_kw))
+
+
+# (call over desk scheme-c parameters, error class, scope path and op the error names)
+STAGE_REJECTIONS = {
+    "ssf F4 extent": (lambda p: ssf_fuse(rand((1, 128, 2, 2), 0), rand((1, 16, 6, 6), 1), "c", p),
+                      ShapeError, "ssf.fuse_F4: add: "),
+    "ssf F3 extent": (lambda p: ssf_fuse(rand((1, 64, 2, 2), 0), rand((1, 16, 6, 6), 1), "c", p),
+                      ShapeError, "ssf.fuse_F3: add: "),
+    "top-down width": (lambda p: top_down_merge({3: rand((1, 8, 8, 8), 0),
+                                                 4: rand((1, 16, 4, 4), 1)}, p),
+                       ShapeError, "top_down.add_F3: add: "),
+    "top-down not 2x below": (lambda p: top_down_merge({3: rand((1, 16, 6, 6), 0),
+                                                        4: rand((1, 16, 4, 4), 1)}, p),
+                              ShapeError, "top_down.add_F3: add: "),
+    "sce C5 channels": (lambda p: sce_forward(rand((1, 64, 4, 4), 0), p),
+                        ConfigError, "sce.local_3x3: conv2d: "),
+    "sce odd C5 height": (lambda p: sce_forward(rand((1, 128, 3, 4), 0), p),
+                          ShapeError, "sce.aggregate: add: "),
+    "sce odd C5 width": (lambda p: sce_forward(rand((1, 128, 4, 5), 0), p),
+                         ShapeError, "sce.aggregate: add: "),
+    "integration P2 extent": (lambda p: build_integration_map(
+        rand((1, 16, 12, 12), 0), rand((1, 16, 8, 8), 1), rand((1, 16, 4, 4), 2),
+        rand((1, 16, 4, 4), 3)), ShapeError, "integration.mean: add: "),
+    "integration P3 extent": (lambda p: build_integration_map(
+        rand((1, 16, 16, 16), 0), rand((1, 16, 6, 6), 1), rand((1, 16, 4, 4), 2),
+        rand((1, 16, 4, 4), 3)), ShapeError, "integration.mean: add: "),
+    "integration context": (lambda p: build_integration_map(
+        rand((1, 16, 16, 16), 0), rand((1, 16, 8, 8), 1), rand((1, 16, 4, 4), 2),
+        rand((1, 16, 8, 8), 3)), ShapeError, "integration.add_context: add: "),
+    "cag width": (lambda p: cag_weights(rand((1, 8, 4, 4), 0), p),
+                  ConfigError, "cag.fc1_squeeze: linear: "),
+    "backbone width": (lambda p: desk_forward(p, backbone_width=8),
+                       ConfigError, "lateral.C2: conv2d: "),
+    "missing lateral": (lambda p: desk_forward(p, include_f5_p5=True),
+                        ConfigError, "lateral.C5: "),
+    "missing post conv": (lambda p: desk_forward(dataclasses.replace(p, post_convs={
+        i: spec for i, spec in p.post_convs.items() if i != 2})),
+        ConfigError, "post_merge.P2: "),
+    "missing ssf reduction": (lambda p: desk_forward(p, ssf_scheme="a"),
+                              ConfigError, "ssf.reduce_C5: "),
+}
+
+
+@pytest.mark.parametrize("name", STAGE_REJECTIONS)
+def test_stage_rejection_is_typed_and_names_its_scope(name):
+    call, kind, prefix = STAGE_REJECTIONS[name]
+    _cfg, params, _pyr = desk_setup()
+    with pytest.raises(kind) as caught:
+        call(params)
+    assert type(caught.value) is kind
+    assert str(caught.value).startswith(prefix), str(caught.value)
+
+
 class TestCefpnForward:
     def test_desk_scale_shape_contract(self):
         config, params, pyramid = desk_setup()

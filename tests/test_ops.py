@@ -9,8 +9,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cefpn import ConfigError, ConvSpec, LinearSpec, ShapeError, Tensor, backward, conv2d, \
-    global_avg_pool, global_max_pool, interpolate_nearest, linear, max_pool2d, mul, sum_all
+from cefpn import ConfigError, ConvSpec, LinearSpec, ShapeError, Tensor, backward, \
+    broadcast_spatial, channel_slice, conv2d, global_avg_pool, global_max_pool, \
+    interpolate_nearest, linear, max_pool2d, mul, pixel_shuffle, pixel_unshuffle, sum_all
 from cefpn import ops
 from oracles import conv2d_grad_loops, conv2d_loops, global_avg_loops, global_max_loops, \
     interp_nearest_grad_loops, interp_nearest_loops, linear_loops, max_pool_grad_loops, \
@@ -380,6 +381,23 @@ class TestInterpolate:
         upstream = rng.uniform(-1, 1, out.shape)
         backward(sum_all(mul(out, Tensor(upstream))))
         np.testing.assert_allclose(x.grad, interp_nearest_grad_loops(upstream, s), atol=1e-12)
+
+
+class TestIntegerArguments:
+    # bool is an int subclass: True must not pass as a factor or bound of 1
+    @pytest.mark.parametrize("call", [
+        lambda x, v: pixel_shuffle(x, True), lambda x, v: pixel_shuffle(x, 2.0),
+        lambda x, v: pixel_unshuffle(x, True), lambda x, v: pixel_unshuffle(x, 2.0),
+        lambda x, v: interpolate_nearest(x, True), lambda x, v: interpolate_nearest(x, 2.0),
+        lambda x, v: broadcast_spatial(v, 2.0, 3), lambda x, v: broadcast_spatial(v, 2, True),
+        lambda x, v: channel_slice(x, False, True), lambda x, v: channel_slice(x, 0, 2.0),
+    ], ids=["shuffle-bool", "shuffle-float", "unshuffle-bool", "unshuffle-float",
+            "interpolate-bool", "interpolate-float", "broadcast-float", "broadcast-bool",
+            "slice-bool", "slice-float"])
+    def test_bool_and_float_rejected(self, call):
+        x, v = Tensor(np.zeros((1, 4, 2, 2))), Tensor(np.zeros((1, 4, 1, 1)))
+        with pytest.raises(ConfigError):
+            call(x, v)
 
 
 class TestLinear:

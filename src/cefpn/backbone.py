@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .neck import BackbonePyramid
+from .neck import BackbonePyramid, _backbone_channels
 from .ops import _draw_uniform
 from .tensor import _wrap
 
@@ -29,6 +29,8 @@ def check_geometry(height: int, width: int) -> None:
     positive multiples of 64. Every entry point that takes a geometry (the
     harness, the backbone generator, the cost model) calls this one check.
     """
+    if type(height) is not int or type(width) is not int:  # bool is not int here
+        raise ConfigError(f"geometry {height!r}x{width!r} must be integers")
     if height % 32 != 0 or width % 32 != 0:
         raise ConfigError(f"geometry {height}x{width} must be divisible by 32")
     if height % 64 != 0 or width % 64 != 0:
@@ -43,10 +45,10 @@ def level_shapes(base_channel: int, height: int, width: int,
                  batch: int = 1) -> dict[int, tuple[int, int, int, int]]:
     """Backbone map shapes per level for a notional image extent."""
     check_geometry(height, width)
-    if batch < 1:
-        raise ConfigError(f"batch must be >= 1, got {batch}")
-    return {i: (batch, base_channel * (1 << (i - 2)), height >> i, width >> i)
-            for i in (2, 3, 4, 5)}
+    if type(batch) is not int or batch < 1:  # bool is not int here
+        raise ConfigError(f"batch must be an integer >= 1, got {batch!r}")
+    return {i: (batch, c, height >> i, width >> i)
+            for i, c in _backbone_channels(base_channel).items()}
 
 
 def ramp_level(shape: tuple[int, int, int, int], level: int, dtype=np.float64) -> np.ndarray:

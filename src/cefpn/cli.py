@@ -4,7 +4,9 @@
     cefpn --suite cost --base-channel 256 --reduction 32 --height 64 --width 64
     cefpn --config reports/config.json --suite forward
 
-Flags override values from ``--config``. With ``--out``, each suite writes
+Flags set the ``RunConfig`` fields they name and override ``--config``.
+``RunConfig`` judges every value, from a flag or the file, and a bad one
+gets one ``error:`` line. With ``--out``, each suite writes
 ``<suite>_report.json`` and ``<suite>_report.txt`` plus a ``config.json``
 echo that reproduces the run byte for byte; without it, JSON reports go to
 stdout. Diagnostics go to stderr only. Exit status: 0 if every selected
@@ -20,36 +22,28 @@ import json
 import sys
 from pathlib import Path
 
-from .backbone import PATTERNS
-from .cost import MAC_CONVENTIONS
 from .errors import ConfigError, ContractError, ShapeError
-from .harness import SUITES, RunConfig, run_suites
-from .neck import SSF_SCHEMES
-from .tensor import DTYPES
+from .harness import RunConfig, run_suites
+
+# The flags not spelled as their field; the rest are the field name with dashes.
+_FLAG_NAMES = {"attention_reduction": "--reduction", "backbone_pattern": "--backbone"}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flag per ``RunConfig`` field, plus ``--config`` and ``--out``."""
     p = argparse.ArgumentParser(
-        prog="cefpn",
+        prog="cefpn", exit_on_error=False,
         description="Run forward, gradient-check, and cost suites for the "
                     "channel-enhanced feature pyramid neck.")
     p.add_argument("--config", type=Path, default=None,
                    help="JSON file with run-config fields; flags override it")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--base-channel", type=int, default=None, dest="base_channel")
-    p.add_argument("--ssf-scheme", choices=SSF_SCHEMES, default=None, dest="ssf_scheme")
-    p.add_argument("--reduction", type=int, default=None, dest="attention_reduction",
-                   help="channel attention bottleneck reduction ratio")
-    p.add_argument("--height", type=int, default=None)
-    p.add_argument("--width", type=int, default=None)
-    p.add_argument("--batch", type=int, default=None)
-    p.add_argument("--suite", choices=SUITES, default=None)
-    p.add_argument("--mac-convention", type=int, choices=MAC_CONVENTIONS, default=None,
-                   dest="mac_convention")
-    p.add_argument("--precision", choices=tuple(DTYPES), default=None)
-    p.add_argument("--backbone", choices=PATTERNS, default=None, dest="backbone_pattern")
-    p.add_argument("--include-f5-p5", action="store_const", const=True, default=None,
-                   dest="include_f5_p5")
+    for f in dataclasses.fields(RunConfig):
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        if f.type == "bool":
+            p.add_argument(flag, action="store_const", const=True, default=None, dest=f.name)
+        else:
+            p.add_argument(flag, type=int if f.type == "int" else str, default=None,
+                           dest=f.name, help=f"default {f.default}")
     p.add_argument("--out", type=Path, default=None,
                    help="directory for report files (default: print to stdout)")
     return p
@@ -74,8 +68,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         config = _load_config(args)
         if args.out is not None:
             try:
@@ -83,7 +77,7 @@ def main(argv: list[str] | None = None) -> int:
             except OSError as e:
                 raise ConfigError(f"cannot create output directory {args.out}: {e}") from e
         reports = run_suites(config)
-    except (ConfigError, ShapeError, ContractError) as e:
+    except (argparse.ArgumentError, ConfigError, ShapeError, ContractError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if args.out is not None:

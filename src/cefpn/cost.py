@@ -181,7 +181,7 @@ def _report(name: str, config: NeckConfig, geometry: tuple[int, int], mac: int,
             modules: tuple[str, ...] | None = None) -> CostReport:
     """Trace the neck of ``config`` and tabulate the rows of ``modules`` (all
     when None) under the charging rules of the module docstring."""
-    if mac not in MAC_CONVENTIONS:
+    if type(mac) is not int or mac not in MAC_CONVENTIONS:  # bool is not int here
         raise ConfigError(f"mac convention must be one of {MAC_CONVENTIONS}, got {mac}")
     h, w = geometry
     shapes = level_shapes(config.base_channel, h, w)

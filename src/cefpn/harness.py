@@ -17,14 +17,10 @@ from .backbone import PATTERNS, check_geometry, synthetic_backbone
 from .cost import MAC_CONVENTIONS, VARIANTS, cefpn_report, compare_to_baseline, variant_report
 from .errors import ConfigError
 from .gradcheck import DEFAULT_THRESHOLD, end_to_end_gradcheck, op_gradient_suite
-from .neck import NeckConfig, cefpn_forward, init_neck_params
+from .neck import NeckConfig, _check_field_types, cefpn_forward, init_neck_params
 from .tensor import DTYPES
 
 SUITES = ("forward", "gradcheck", "cost", "all")
-
-# RunConfig's field annotations (strings under postponed evaluation) and the
-# types they admit; a bool is not taken for an int.
-_FIELD_TYPES = {"int": int, "str": str, "bool": bool}
 
 
 @dataclass(frozen=True)
@@ -53,10 +49,7 @@ class RunConfig:
     backbone_pattern: str = "noise"
 
     def __post_init__(self):
-        for f in fields(self):
-            value, kind = getattr(self, f.name), _FIELD_TYPES[f.type]
-            if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-                raise ConfigError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
+        _check_field_types(self)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         check_geometry(self.height, self.width)

@@ -19,7 +19,7 @@ stride-2 subsample of P4.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -31,6 +31,22 @@ from .tensor import Tensor, _record, add, broadcast_spatial, channel_slice, \
     mul_channelwise, relu, scale, scope, sigmoid, squeeze_spatial
 
 SSF_SCHEMES = ("a", "b", "c")
+
+# Annotation string -> the exact type a config field takes (so a bool is no int).
+_FIELD_TYPES = {"int": int, "str": str, "bool": bool}
+
+
+def _check_field_types(config) -> None:
+    """Raise ``ConfigError`` naming the first field not of its annotated type."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if type(value) is not _FIELD_TYPES[f.type]:
+            raise ConfigError(f"{f.name} must be {f.type}, got {type(value).__name__} {value!r}")
+
+
+def _backbone_channels(c: int) -> dict[int, int]:
+    """Channels of C2..C5 over pyramid width c: {c, 2c, 4c, 8c}."""
+    return {i: c * (1 << (i - 2)) for i in (2, 3, 4, 5)}
 
 
 # ---------------------------------------------------------------------------
@@ -99,6 +115,7 @@ class NeckConfig:
     include_f5_p5: bool = False
 
     def __post_init__(self):
+        _check_field_types(self)
         c = self.base_channel
         if c < 4 or c % 4 != 0:
             raise ConfigError(f"base_channel must be a positive multiple of 4, got {c}")
@@ -111,9 +128,6 @@ class NeckConfig:
     @property
     def levels(self) -> tuple[int, ...]:
         return (2, 3, 4, 5) if self.include_f5_p5 else (2, 3, 4)
-
-    def backbone_channels(self) -> dict[int, int]:
-        return {i: self.base_channel * (1 << (i - 2)) for i in (2, 3, 4, 5)}
 
 
 @dataclass(frozen=True)
@@ -131,8 +145,7 @@ class BackbonePyramid:
             if t.data.ndim != 4:
                 raise ShapeError(f"C{i} must be 4-d, got shape {t.shape}")
         c = self.c2.shape[1]
-        for i, t in zip((2, 3, 4, 5), maps):
-            want = c * (1 << (i - 2))
+        for (i, want), t in zip(_backbone_channels(c).items(), maps):
             if t.shape[1] != want:
                 raise ConfigError(f"C{i} has {t.shape[1]} channels, expected {want} (c = {c})")
             if t.shape[0] != self.c2.shape[0]:
@@ -141,10 +154,6 @@ class BackbonePyramid:
             if lo.shape[2] != 2 * hi.shape[2] or lo.shape[3] != 2 * hi.shape[3]:
                 raise ShapeError(
                     f"adjacent levels must halve spatially, got {lo.shape[2:]} over {hi.shape[2:]}")
-
-    @property
-    def base_channel(self) -> int:
-        return self.c2.shape[1]
 
     def level(self, i: int) -> Tensor:
         return {2: self.c2, 3: self.c3, 4: self.c4, 5: self.c5}[i]
@@ -205,7 +214,7 @@ def _build_params(config: NeckConfig, make) -> NeckParams:
     """Every layer of the neck in allocation order, each tensor from
     ``make(shape, fan_in)``."""
     c = config.base_channel
-    back = config.backbone_channels()
+    back = _backbone_channels(c)
 
     def conv(cin: int, cout: int, kernel: int) -> ConvSpec:
         return ConvSpec._made(make, cin, cout, kernel)

@@ -41,6 +41,20 @@ def test_every_path_rejects_an_odd_c5_extent(path):
     GEOMETRY_PATHS[path](64, 128)
 
 
+@pytest.mark.parametrize("path", sorted(GEOMETRY_PATHS))
+@pytest.mark.parametrize("height, width", [(64.0, 64), (64, 128.0)])
+def test_every_path_rejects_a_non_integer_extent(path, height, width):
+    with pytest.raises(ConfigError, match="must be integers"):
+        GEOMETRY_PATHS[path](height, width)
+
+
+@pytest.mark.parametrize("build", [level_shapes, synthetic_backbone])
+@pytest.mark.parametrize("batch", [True, 2.0, 0])
+def test_batch_must_be_a_positive_integer(build, batch):
+    with pytest.raises(ConfigError, match="batch must be an integer"):
+        build(16, 64, 64, batch=batch)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_noise_equals_one_whole_draw_per_level(dtype):
     pyramid = synthetic_backbone(64, 128, 128, batch=2, seed=5, dtype=dtype)

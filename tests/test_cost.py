@@ -226,6 +226,8 @@ class TestFlops:
     def test_bad_mac_convention_rejected(self):
         with pytest.raises(ConfigError):
             fpn_baseline_report(256, GEOM, mac_convention=3)
+        with pytest.raises(ConfigError):  # True == 1, but a bool is not a convention
+            cefpn_report(NeckConfig(16, attention_reduction=4), GEOM, mac_convention=True)
 
     def test_baseline_rows_in_module_then_execution_order(self):
         # top_down lists its rows as the merge runs them, top level first

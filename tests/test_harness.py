@@ -398,7 +398,13 @@ class TestCli:
         ({"batch": 1.5}, ["--suite", "forward"]),
         ({"seed": -1}, ["--suite", "forward"]),
         ([1, 2], ["--suite", "cost"]),
-        (None, ["--suite", "all", "--precision", "float32"])])
+        (None, ["--suite", "all", "--precision", "float32"]),
+        (None, ["--ssf-scheme", "d"]),
+        (None, ["--suite", "x"]),
+        (None, ["--mac-convention", "3"]),
+        (None, ["--precision", "float16"]),
+        (None, ["--backbone", "stripes"]),
+        (None, ["--seed", "abc"])])
     def test_rejected_config_runs_no_suite(self, config, argv, tmp_path, monkeypatch, capsys):
         ran = []
         for name in ("run_forward", "run_gradcheck", "run_cost"):

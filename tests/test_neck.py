@@ -62,6 +62,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             NeckConfig(ssf_scheme="d")
 
+    @pytest.mark.parametrize("field, value", [
+        ("base_channel", 16.0), ("attention_reduction", True),
+        ("include_f5_p5", "no"), ("ssf_scheme", None)])
+    def test_field_types_checked(self, field, value):
+        with pytest.raises(ConfigError, match=f"^{field} must be "):
+            NeckConfig(**{field: value})
+
     def test_backbone_invariants(self):
         with pytest.raises(ConfigError):
             BackbonePyramid(c2=rand((1, 16, 16, 16), 0), c3=rand((1, 16, 8, 8), 1),

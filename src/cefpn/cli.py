@@ -69,7 +69,11 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        # parse_args calls error() on leftovers even with exit_on_error=False,
+        # which prints the usage block before the message
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            raise ConfigError(f"unrecognized arguments: {' '.join(unknown)}")
         config = _load_config(args)
         if args.out is not None:
             try:

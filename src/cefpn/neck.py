@@ -46,6 +46,8 @@ def _check_field_types(config) -> None:
 
 def _backbone_channels(c: int) -> dict[int, int]:
     """Channels of C2..C5 over pyramid width c: {c, 2c, 4c, 8c}."""
+    if type(c) is not int or c < 1:  # bool is not int here
+        raise ConfigError(f"base_channel must be an integer >= 1, got {c!r}")
     return {i: c * (1 << (i - 2)) for i in (2, 3, 4, 5)}
 
 

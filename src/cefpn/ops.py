@@ -18,6 +18,9 @@ element in row-major window scan order on exact ties.
 
 from __future__ import annotations
 
+import copy
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,19 +31,70 @@ from .tensor import Tensor, _record, _wrap
 NEG_INF = -np.inf
 # Uniform draws go through float64 scratch buffers of at most this many
 # elements. Chunks consume the generator's stream exactly as one whole draw
-# does, so the values are the same at any chunk size.
+# does, so the values are the same at any chunk size. A draw is split across
+# threads only at chunk boundaries (see ``_draw_uniform``).
 _DRAW_CHUNK = 1 << 16
+
+
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask, else the CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _fill_uniform(rng: np.random.Generator, low: float, high: float, flat: np.ndarray) -> None:
+    """Fill ``flat`` from ``rng``'s stream in ``_DRAW_CHUNK``-sized draws."""
+    for start in range(0, flat.size, _DRAW_CHUNK):
+        stop = min(start + _DRAW_CHUNK, flat.size)
+        flat[start:stop] = rng.uniform(low, high, stop - start)
 
 
 def _draw_uniform(rng: np.random.Generator, low: float, high: float,
                   shape: tuple[int, ...], dtype) -> np.ndarray:
     """``rng.uniform(low, high, shape).astype(dtype)``, bit for bit, drawn in
-    chunks straight into a fresh buffer of the final dtype."""
+    chunks straight into a fresh buffer of the final dtype.
+
+    The buffer is split into one contiguous, chunk-aligned part per usable
+    core. The calling thread fills the first part from ``rng`` itself; each
+    other part is filled on its own thread from a copy of ``rng``'s PCG64
+    advanced to the part's offset, since ``uniform`` takes exactly one 64-bit
+    step per value. Every value is therefore the one a sequential draw gives,
+    and ``rng`` is left where that draw leaves it, buffered 32-bit half
+    included. Other bit generators, one core or one chunk give one part.
+    """
     out = np.empty(shape, dtype=dtype)
     flat = out.reshape(-1)
-    for start in range(0, flat.size, _DRAW_CHUNK):
-        stop = min(start + _DRAW_CHUNK, flat.size)
-        flat[start:stop] = rng.uniform(low, high, stop - start)
+    bits = rng.bit_generator
+    chunks = max(1, -(-flat.size // _DRAW_CHUNK))
+    parts = min(_usable_cores(), chunks) if type(bits) is np.random.PCG64 else 1
+    bounds = [k * chunks // parts * _DRAW_CHUNK for k in range(parts)] + [flat.size]
+    copies = [copy.copy(bits).advance(lo) for lo in bounds[1:-1]]
+    errors = []
+
+    def fill(part: np.random.PCG64, lo: int, hi: int) -> None:
+        try:
+            _fill_uniform(np.random.Generator(part), low, high, flat[lo:hi])
+        except BaseException as e:  # raised again in the caller
+            errors.append(e)
+
+    started = []
+    try:
+        for part, lo, hi in zip(copies, bounds[1:], bounds[2:]):
+            t = threading.Thread(target=fill, args=(part, lo, hi))
+            t.start()
+            started.append(t)
+        _fill_uniform(rng, low, high, flat[:bounds[1]])
+    finally:
+        for t in started:
+            t.join()
+    if errors:
+        raise errors[0]
+    if copies:  # the last copy ends where a sequential draw does; advance reset the half
+        end, half = copies[-1].state, bits.state
+        end["has_uint32"], end["uinteger"] = half["has_uint32"], half["uinteger"]
+        bits.state = end
     return out
 
 

@@ -55,6 +55,13 @@ def test_batch_must_be_a_positive_integer(build, batch):
         build(16, 64, 64, batch=batch)
 
 
+@pytest.mark.parametrize("build", [level_shapes, synthetic_backbone])
+@pytest.mark.parametrize("base_channel", [True, 16.0, 0, -4])
+def test_base_channel_must_be_a_positive_integer(build, base_channel):
+    with pytest.raises(ConfigError, match="base_channel must be an integer >= 1"):
+        build(base_channel, 64, 64)
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_noise_equals_one_whole_draw_per_level(dtype):
     pyramid = synthetic_backbone(64, 128, 128, batch=2, seed=5, dtype=dtype)

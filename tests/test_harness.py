@@ -361,6 +361,13 @@ class TestCli:
         lines = [l for l in captured.err.splitlines() if l]
         assert len(lines) == 1 and "divisible by 32" in lines[0]
 
+    def test_unknown_flag_single_line_diagnostic(self, capsys):
+        code = main(["--bogus"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: unrecognized arguments: --bogus"]
+
     @pytest.mark.parametrize("suite", ["forward", "gradcheck", "cost", "all"])
     def test_geometry_off_64_rejected_by_every_suite(self, suite, capsys):
         code = main(["--suite", suite, "--height", "96", "--width", "96"])

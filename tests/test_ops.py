@@ -2,6 +2,9 @@
 nested-loop reference implementations."""
 
 import dataclasses
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -434,3 +437,82 @@ class TestLinear:
         spec = LinearSpec(3, 2, Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))
         with pytest.raises(error):
             linear(Tensor(np.zeros(shape)), spec)
+
+
+CHUNK = ops._DRAW_CHUNK
+
+
+def record_parts(monkeypatch):
+    """Patch ``ops._fill_uniform`` to log (thread id, part size) per call."""
+    fill, calls = ops._fill_uniform, []
+
+    def logged(rng, low, high, flat):
+        calls.append((threading.get_ident(), flat.size))
+        fill(rng, low, high, flat)
+
+    monkeypatch.setattr(ops, "_fill_uniform", logged)
+    return calls
+
+
+@pytest.fixture
+def fast_switching():
+    """Threads swap every microsecond, so a race on shared state would show."""
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(old)
+
+
+class TestSplitDraw:
+    """``_draw_uniform`` fills one part per usable core from one PCG64 stream."""
+
+    def test_workers_are_the_usable_cores(self):
+        assert ops._usable_cores() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_one_sequential_draw_and_leaves_the_stream_where_it_does(
+            self, workers, dtype, monkeypatch, fast_switching):
+        monkeypatch.setattr(ops, "_usable_cores", lambda: workers)
+        calls = record_parts(monkeypatch)
+        for size in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 1_000_003):
+            rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+            for g in (rng, twin):  # leaves a buffered 32-bit half, which advance resets
+                g.integers(0, 7, dtype=np.uint32)
+            calls.clear()
+            got = ops._draw_uniform(rng, -0.25, 0.5, (size,), dtype)
+            want = twin.uniform(-0.25, 0.5, size).astype(dtype)
+            assert got.dtype == dtype and got.tobytes() == want.tobytes(), size
+            parts = min(workers, max(1, -(-size // CHUNK)))
+            idents = [ident for ident, _ in calls]  # the caller fills one part, threads the rest
+            assert len(idents) == parts and idents.count(threading.get_ident()) == 1, size
+            assert sum(n for _, n in calls) == size
+            assert np.array_equal(rng.integers(0, 2 ** 32, 5, dtype=np.uint32),
+                                  twin.integers(0, 2 ** 32, 5, dtype=np.uint32)), size
+            assert rng.random() == twin.random(), size
+
+    def test_other_bit_generators_draw_in_one_part(self, monkeypatch):
+        monkeypatch.setattr(ops, "_usable_cores", lambda: 3)
+        calls = record_parts(monkeypatch)
+        rng, twin = (np.random.Generator(np.random.MT19937(5)) for _ in range(2))
+        got = ops._draw_uniform(rng, -1.0, 1.0, (3 * CHUNK + 5,), np.float64)
+        assert got.tobytes() == twin.uniform(-1.0, 1.0, 3 * CHUNK + 5).tobytes()
+        assert calls == [(threading.get_ident(), 3 * CHUNK + 5)]
+        assert rng.random() == twin.random()
+
+    @pytest.mark.parametrize("failing", ["caller", "worker"])
+    def test_a_failing_part_raises_in_the_caller_and_leaves_no_thread(
+            self, failing, monkeypatch):
+        monkeypatch.setattr(ops, "_usable_cores", lambda: 3)
+        fill, caller = ops._fill_uniform, threading.get_ident()
+
+        def fail_one_side(rng, low, high, flat):
+            if (threading.get_ident() == caller) == (failing == "caller"):
+                raise RuntimeError(f"{failing} part failed")
+            fill(rng, low, high, flat)
+
+        monkeypatch.setattr(ops, "_fill_uniform", fail_one_side)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"{failing} part failed"):
+            ops._draw_uniform(np.random.default_rng(0), -1.0, 1.0, (3 * CHUNK,), np.float64)
+        assert threading.active_count() == before

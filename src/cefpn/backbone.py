@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_choice, _check_int
 from .neck import BackbonePyramid, _backbone_channels
 from .ops import _draw_uniform
 from .tensor import _wrap
@@ -27,10 +27,11 @@ def check_geometry(height: int, width: int) -> None:
 
     C5 sits at stride 32 and SCE halves it once more, so both extents must be
     positive multiples of 64. Every entry point that takes a geometry (the
-    harness, the backbone generator, the cost model) calls this one check.
+    harness, the backbone generator, the cost model) reaches this one check
+    through ``level_shapes``.
     """
-    if type(height) is not int or type(width) is not int:  # bool is not int here
-        raise ConfigError(f"geometry {height!r}x{width!r} must be integers")
+    _check_int("geometry height", height)
+    _check_int("geometry width", width)
     if height % 32 != 0 or width % 32 != 0:
         raise ConfigError(f"geometry {height}x{width} must be divisible by 32")
     if height % 64 != 0 or width % 64 != 0:
@@ -45,8 +46,7 @@ def level_shapes(base_channel: int, height: int, width: int,
                  batch: int = 1) -> dict[int, tuple[int, int, int, int]]:
     """Backbone map shapes per level for a notional image extent."""
     check_geometry(height, width)
-    if type(batch) is not int or batch < 1:  # bool is not int here
-        raise ConfigError(f"batch must be an integer >= 1, got {batch!r}")
+    _check_int("batch", batch, 1)
     return {i: (batch, c, height >> i, width >> i)
             for i, c in _backbone_channels(base_channel).items()}
 
@@ -61,8 +61,7 @@ def synthetic_backbone(base_channel: int, height: int, width: int, batch: int = 
                        seed: int = 0, pattern: str = "noise",
                        dtype=np.float64) -> BackbonePyramid:
     """Generate a backbone pyramid; levels are drawn in C2..C5 order."""
-    if pattern not in PATTERNS:
-        raise ConfigError(f"backbone pattern must be one of {PATTERNS}, got {pattern!r}")
+    _check_choice("pattern", pattern, PATTERNS)
     shapes = level_shapes(base_channel, height, width, batch)
     rng = np.random.default_rng(seed)
     maps = {}

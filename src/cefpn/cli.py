@@ -54,7 +54,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
         try:
             loaded = json.loads(args.config.read_text())
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # ValueError: not UTF-8, or not JSON
             raise ConfigError(f"cannot read config file {args.config}: {e}") from e
         if not isinstance(loaded, dict):
             raise ConfigError(f"config file {args.config} must hold a JSON object, "

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .backbone import level_shapes
-from .errors import ConfigError, ContractError
+from .errors import ContractError, _check_choice
 from .neck import BackbonePyramid, NeckConfig, _build_params, cefpn_forward
 from .tensor import Tensor, _traced, _wrap
 
@@ -181,8 +181,7 @@ def _report(name: str, config: NeckConfig, geometry: tuple[int, int], mac: int,
             modules: tuple[str, ...] | None = None) -> CostReport:
     """Trace the neck of ``config`` and tabulate the rows of ``modules`` (all
     when None) under the charging rules of the module docstring."""
-    if type(mac) is not int or mac not in MAC_CONVENTIONS:  # bool is not int here
-        raise ConfigError(f"mac convention must be one of {MAC_CONVENTIONS}, got {mac}")
+    _check_choice("mac_convention", mac, MAC_CONVENTIONS)
     h, w = geometry
     shapes = level_shapes(config.base_channel, h, w)
     backbone = BackbonePyramid(*(_zeros((0,) + shapes[i][1:]) for i in (2, 3, 4, 5)))
@@ -229,8 +228,7 @@ def variant_report(variant: str, base_channel: int, geometry: tuple[int, int],
     ``baseline``, ``ssf_a``/``ssf_b``/``ssf_c`` and ``cag`` keep F5/P5;
     ``sce`` removes F5/P5 (the adopted configuration).
     """
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}")
+    _check_choice("variant", variant, VARIANTS)
     overrides, added = VARIANTS[variant]
     config = NeckConfig(base_channel, attention_reduction=attention_reduction, **overrides)
     return _report(variant, config, geometry, mac_convention, _BASELINE_MODULES + added)

@@ -6,8 +6,8 @@ One analytic forward keeps the graph for ``backward``; for the numeric
 forwards every checked leaf has ``requires_grad`` switched off (and restored
 afterwards), so they record no graph and keep nothing for a backward pass.
 Their values are bit for bit those of the graph forward. The end-to-end
-check is two such checks: pyramid parameters through the full neck, head
-parameters through the head alone over a fixed, detached pyramid. A
+check is two such checks: head parameters through the head alone over a
+fixed, detached pyramid, every other parameter through the full neck. A
 non-finite gradient on either side makes the error non-finite, which fails.
 Double precision is required; with h = ``DEFAULT_STEP`` = 1e-6 the
 truncation and roundoff floors sit far below the 1e-4 acceptance threshold.
@@ -223,9 +223,11 @@ def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
 
     The forward pass is rebuilt from the same parameter tensors on every
     evaluation, so each perturbation flows through every op it reaches.
-    A pick in a parameter that ``pyramid_stage``'s graph reaches is checked
-    through the full neck, every other pick through ``head_stage`` alone
-    over that pyramid, detached. The error is the worse of the two checks.
+    A pick in a parameter that the graph of ``head_stage``, run once over
+    the detached pyramid, reaches is checked through the head alone; every
+    other pick goes through the full neck. So a parameter whose graph edge
+    is lost runs through the full neck, where its numeric gradient shows.
+    The error is the worse of the two checks.
     """
     params = init_neck_params(config, seed)
     backbone = synthetic_backbone(config.base_channel, height, width, batch,
@@ -236,12 +238,11 @@ def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
         picks = np.arange(total)
     else:
         picks = np.sort(np.random.default_rng(seed + 2).choice(total, samples, replace=False))
-    pyramid = pyramid_stage(backbone, params, config)
-    reached = {id(t) for p in pyramid.values() for t in GradTape(p).leaves()}
-    in_pyramid = np.repeat([id(t) in reached for t in leaves], [t.size for t in leaves])[picks]
-    pyramid = {i: Tensor(p.data) for i, p in pyramid.items()}  # detached: frees the graph
+    pyramid = {i: Tensor(p.data) for i, p in pyramid_stage(backbone, params, config).items()}
+    head_loss = lambda: _level_sum(head_stage(backbone, pyramid, params, config))
+    reached = {id(t) for t in GradTape(head_loss()).leaves()}
+    in_head = np.repeat([id(t) in reached for t in leaves], [t.size for t in leaves])[picks]
     full = check_loss_gradients(lambda: _level_sum(cefpn_forward(backbone, params, config)),
-                                leaves, picks[in_pyramid])
-    head = check_loss_gradients(lambda: _level_sum(head_stage(backbone, pyramid, params, config)),
-                                leaves, picks[~in_pyramid])
+                                leaves, picks[~in_head])
+    head = check_loss_gradients(head_loss, leaves, picks[in_head])
     return EndToEndResult(_worse(full, head), len(picks), total)

@@ -13,14 +13,19 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .backbone import PATTERNS, check_geometry, synthetic_backbone
+from .backbone import PATTERNS, level_shapes, synthetic_backbone
 from .cost import MAC_CONVENTIONS, VARIANTS, cefpn_report, compare_to_baseline, variant_report
-from .errors import ConfigError
+from .errors import ConfigError, _check_choice, _check_int
 from .gradcheck import DEFAULT_THRESHOLD, end_to_end_gradcheck, op_gradient_suite
 from .neck import NeckConfig, _check_field_types, cefpn_forward, init_neck_params
 from .tensor import DTYPES
 
 SUITES = ("forward", "gradcheck", "cost", "all")
+
+
+def _selected(suite: str) -> tuple[str, ...]:
+    """The suites ``suite`` runs, in run order."""
+    return ("forward", "gradcheck", "cost") if suite == "all" else (suite,)
 
 
 @dataclass(frozen=True)
@@ -50,23 +55,14 @@ class RunConfig:
 
     def __post_init__(self):
         _check_field_types(self)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        check_geometry(self.height, self.width)
-        if self.batch < 1:
-            raise ConfigError(f"batch must be >= 1, got {self.batch}")
-        if self.suite not in SUITES:
-            raise ConfigError(f"suite must be one of {SUITES}, got {self.suite!r}")
-        if self.mac_convention not in MAC_CONVENTIONS:
-            raise ConfigError(f"mac convention must be one of {MAC_CONVENTIONS}, "
-                              f"got {self.mac_convention}")
-        if self.precision not in DTYPES:
-            raise ConfigError(f"precision must be one of {tuple(DTYPES)}, got {self.precision!r}")
-        if self.precision != "float64" and self.suite in ("gradcheck", "all"):
-            raise ConfigError(f"suite {self.suite} runs the gradcheck, which requires float64 "
-                              f"precision; rerun with precision=float64")
-        if self.backbone_pattern not in PATTERNS:
-            raise ConfigError(f"backbone pattern must be one of {PATTERNS}, got {self.backbone_pattern!r}")
+        _check_int("seed", self.seed, 0)
+        level_shapes(self.base_channel, self.height, self.width, self.batch)
+        _check_choice("suite", self.suite, SUITES)
+        _check_choice("mac_convention", self.mac_convention, MAC_CONVENTIONS)
+        _check_choice("precision", self.precision, DTYPES)
+        _check_choice("backbone_pattern", self.backbone_pattern, PATTERNS)
+        if "gradcheck" in _selected(self.suite):
+            _check_gradcheck_precision(self.precision)
         self.neck_config()  # validates width/scheme/reduction combinations
 
     def neck_config(self) -> NeckConfig:
@@ -98,6 +94,13 @@ class SuiteReport:
 
     def to_json(self) -> str:
         return json.dumps(self.document, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _check_gradcheck_precision(precision: str) -> None:
+    """The gradcheck's central differences resolve gradients in float64 only."""
+    if precision != "float64":
+        raise ConfigError(f"the gradcheck requires float64 precision, got {precision!r}; "
+                          f"rerun with precision=float64")
 
 
 def _level_stats(t) -> dict:
@@ -159,8 +162,7 @@ def run_gradcheck(config: RunConfig) -> SuiteReport:
     The checks run in float64 only; a config of any other precision raises
     ``ConfigError``, so no report echoes a precision it did not run at.
     """
-    if config.precision != "float64":
-        raise ConfigError(f"the gradcheck requires float64 precision, got {config.precision}")
+    _check_gradcheck_precision(config.precision)
     per_op = op_gradient_suite(seed=config.seed)
     e2e = end_to_end_gradcheck(config.neck_config(), config.height, config.width,
                                config.batch, seed=config.seed, pattern=config.backbone_pattern)
@@ -215,13 +217,5 @@ def run_cost(config: RunConfig) -> SuiteReport:
 
 def run_suites(config: RunConfig) -> list[SuiteReport]:
     """The suites selected by ``config.suite``, in a fixed order."""
-    wanted = ("forward", "gradcheck", "cost") if config.suite == "all" else (config.suite,)
-    out = []
-    for name in wanted:
-        if name == "forward":
-            out.append(run_forward(config))
-        elif name == "gradcheck":
-            out.append(run_gradcheck(config))
-        else:
-            out.append(run_cost(config))
-    return out
+    runners = {"forward": run_forward, "gradcheck": run_gradcheck, "cost": run_cost}
+    return [runners[name](config) for name in _selected(config.suite)]

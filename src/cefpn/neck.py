@@ -24,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, _check_4d, _check_choice, _check_int
 from .ops import ConvSpec, LinearSpec, conv2d, global_avg_pool, global_max_pool, \
     interpolate_nearest, linear, max_pool2d, uniform_init
 from .tensor import Tensor, _record, add, broadcast_spatial, channel_slice, \
@@ -46,8 +46,7 @@ def _check_field_types(config) -> None:
 
 def _backbone_channels(c: int) -> dict[int, int]:
     """Channels of C2..C5 over pyramid width c: {c, 2c, 4c, 8c}."""
-    if type(c) is not int or c < 1:  # bool is not int here
-        raise ConfigError(f"base_channel must be an integer >= 1, got {c!r}")
+    _check_int("base_channel", c, 1)
     return {i: c * (1 << (i - 2)) for i in (2, 3, 4, 5)}
 
 
@@ -62,10 +61,8 @@ def pixel_shuffle(x: Tensor, r: int) -> Tensor:
     (y // r, x // r) at input channel C*r*(y mod r) + C*(x mod r) + ch.
     A pure permutation: the value multiset is preserved exactly.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"pixel_shuffle: input must be 4-d, got shape {x.shape}")
-    if type(r) is not int or r < 1:  # bool is not int here
-        raise ConfigError(f"pixel_shuffle: upscale factor must be a positive integer, got {r}")
+    _check_4d("pixel_shuffle: input", x)
+    _check_int("pixel_shuffle: upscale factor", r, 1)
     c = x.shape[1]
     if c % (r * r) != 0:
         raise ConfigError(f"pixel_shuffle: {c} channels not divisible by r^2 = {r * r} (r = {r})")
@@ -89,10 +86,8 @@ def _unshuffle_data(d: np.ndarray, r: int) -> np.ndarray:
 
 def pixel_unshuffle(x: Tensor, r: int) -> Tensor:
     """Exact inverse of ``pixel_shuffle``: (n, C, r*h, r*w) -> (n, C*r^2, h, w)."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"pixel_unshuffle: input must be 4-d, got shape {x.shape}")
-    if type(r) is not int or r < 1:
-        raise ConfigError(f"pixel_unshuffle: upscale factor must be a positive integer, got {r}")
+    _check_4d("pixel_unshuffle: input", x)
+    _check_int("pixel_unshuffle: upscale factor", r, 1)
     h, w = x.shape[2], x.shape[3]
     if h % r != 0 or w % r != 0:
         raise ShapeError(f"pixel_unshuffle: extents {h}x{w} not divisible by r = {r}")
@@ -121,8 +116,7 @@ class NeckConfig:
         c = self.base_channel
         if c < 4 or c % 4 != 0:
             raise ConfigError(f"base_channel must be a positive multiple of 4, got {c}")
-        if self.ssf_scheme not in SSF_SCHEMES:
-            raise ConfigError(f"ssf_scheme must be one of {SSF_SCHEMES}, got {self.ssf_scheme!r}")
+        _check_choice("ssf_scheme", self.ssf_scheme, SSF_SCHEMES)
         if self.attention_reduction < 1 or c % self.attention_reduction != 0:
             raise ConfigError(
                 f"attention_reduction {self.attention_reduction} must divide base_channel {c}")
@@ -144,8 +138,7 @@ class BackbonePyramid:
     def __post_init__(self):
         maps = [self.c2, self.c3, self.c4, self.c5]
         for i, t in zip((2, 3, 4, 5), maps):
-            if t.data.ndim != 4:
-                raise ShapeError(f"C{i} must be 4-d, got shape {t.shape}")
+            _check_4d(f"C{i}", t)
         c = self.c2.shape[1]
         for (i, want), t in zip(_backbone_channels(c).items(), maps):
             if t.shape[1] != want:
@@ -266,13 +259,10 @@ def ssf_fuse(c_hi: Tensor, f_lo: Tensor, scheme: str, params: NeckParams) -> Ten
     * ``b`` first 4c channels only (parameter free, drops half the source);
     * ``c`` both 4c halves shuffled and summed (parameter free).
     """
-    if scheme not in SSF_SCHEMES:
-        raise ConfigError(f"ssf scheme must be one of {SSF_SCHEMES}, got {scheme!r}")
+    _check_choice("ssf_fuse: scheme", scheme, SSF_SCHEMES)
     c = f_lo.shape[1]
     src = c_hi.shape[1]
-    if src not in (4 * c, 8 * c):
-        raise ConfigError(
-            f"ssf source has {src} channels; expected 4x or 8x the pyramid width {c}")
+    _check_choice("ssf_fuse: source channels", src, (4 * c, 8 * c))
 
     if src == 4 * c:
         with scope("ssf.shuffle_C4"):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, _check_4d, _check_choice, _check_int
 from .tensor import Tensor, _record, _wrap
 
 NEG_INF = -np.inf
@@ -121,8 +121,7 @@ class ConvSpec:
     stride = 1
 
     def __post_init__(self):
-        if self.kernel not in (1, 3):
-            raise ConfigError(f"conv kernel must be 1 or 3, got {self.kernel}")
+        _check_choice("conv kernel", self.kernel, (1, 3))
         expect = (self.out_channels, self.in_channels, self.kernel, self.kernel)
         if self.weight.shape != expect:
             raise ConfigError(f"conv weight shape {self.weight.shape} != {expect}")
@@ -200,8 +199,7 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     batch-0 cost trace (n*h*w = 0) never takes the shifted path, whose
     tap-major copy would allocate the trace's zero-stride placeholder weight.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"conv2d: input must be 4-d, got shape {x.shape}")
+    _check_4d("conv2d: input", x)
     n, c, h, w = x.shape
     if c != spec.in_channels:
         raise ConfigError(
@@ -318,12 +316,11 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     input. When ``x`` requires grad, the first maximal tap in row-major scan
     order is tracked too (strict ``>``), for the backward pass.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"max_pool2d: input must be 4-d, got shape {x.shape}")
-    if (any(type(v) is not int for v in (kernel, stride, padding))  # bool is not int here
-            or kernel < 1 or stride < 1 or not 0 <= padding < kernel):
-        raise ConfigError(f"max_pool2d: need integers kernel, stride >= 1 and 0 <= padding < "
-                          f"kernel, got {kernel!r}, {stride!r}, {padding!r}")
+    _check_4d("max_pool2d: input", x)
+    for name, v, low in (("kernel", kernel, 1), ("stride", stride, 1), ("padding", padding, 0)):
+        _check_int(f"max_pool2d: {name}", v, low)
+    if padding >= kernel:
+        raise ConfigError(f"max_pool2d: padding {padding} must be below kernel {kernel}")
     n, c, h, w = x.shape
     oh = (h + 2 * padding - kernel) // stride + 1
     ow = (w + 2 * padding - kernel) // stride + 1
@@ -359,8 +356,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
 
 def global_avg_pool(x: Tensor) -> Tensor:
     """Mean over all spatial positions: (n, c, h, w) -> (n, c, 1, 1)."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"global_avg_pool: input must be 4-d, got shape {x.shape}")
+    _check_4d("global_avg_pool: input", x)
     n, c, h, w = x.shape
     if h * w < 1:
         raise ShapeError(f"global_avg_pool: empty spatial extent {h}x{w}")
@@ -373,8 +369,7 @@ def global_avg_pool(x: Tensor) -> Tensor:
 
 def global_max_pool(x: Tensor) -> Tensor:
     """Maximum over all spatial positions: (n, c, h, w) -> (n, c, 1, 1)."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"global_max_pool: input must be 4-d, got shape {x.shape}")
+    _check_4d("global_max_pool: input", x)
     n, c, h, w = x.shape
     if h * w < 1:
         raise ShapeError(f"global_max_pool: empty spatial extent {h}x{w}")
@@ -392,10 +387,8 @@ def global_max_pool(x: Tensor) -> Tensor:
 
 def interpolate_nearest(x: Tensor, scale: int) -> Tensor:
     """Nearest-neighbour upsampling: output(y, x) = input(y // scale, x // scale)."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"interpolate_nearest: input must be 4-d, got shape {x.shape}")
-    if type(scale) is not int or scale < 1:  # bool is not int here
-        raise ConfigError(f"interpolate_nearest: scale must be a positive integer, got {scale}")
+    _check_4d("interpolate_nearest: input", x)
+    _check_int("interpolate_nearest: scale", scale, 1)
     n, c, h, w = x.shape
 
     def grad_fn(g):  # each input pixel sums its scale x scale block: s^2 strided adds

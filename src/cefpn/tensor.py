@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError
+from .errors import ConfigError, ContractError, ShapeError, _check_4d, _check_int
 
 DTYPES = {"float64": np.float64, "float32": np.float32}
 
@@ -303,8 +303,7 @@ def mul_channelwise(x: Tensor, w: Tensor) -> Tensor:
 
     ``x`` is (n, c, h, w); ``w`` is (n, c), one weight vector per sample.
     """
-    if x.data.ndim != 4:
-        raise ShapeError(f"mul_channelwise: x must be 4-d, got shape {x.shape}")
+    _check_4d("mul_channelwise: x", x)
     n, c = x.shape[0], x.shape[1]
     if w.shape != (n, c):
         raise ShapeError(f"mul_channelwise: weight shape {w.shape} is not (n, c) = {(n, c)}")
@@ -321,10 +320,9 @@ def sum_all(x: Tensor) -> Tensor:
 
 def channel_slice(x: Tensor, start: int, stop: int) -> Tensor:
     """Select channels [start, stop) of a 4-d tensor."""
-    if x.data.ndim != 4:
-        raise ShapeError(f"channel_slice: x must be 4-d, got shape {x.shape}")
-    if type(start) is not int or type(stop) is not int:  # bool is not int here
-        raise ConfigError(f"channel_slice: bounds must be integers, got {start!r}, {stop!r}")
+    _check_4d("channel_slice: x", x)
+    _check_int("channel_slice: start", start)
+    _check_int("channel_slice: stop", stop)
     c = x.shape[1]
     if not (0 <= start < stop <= c):
         raise ShapeError(f"channel_slice: range [{start}, {stop}) invalid for {c} channels")
@@ -341,11 +339,8 @@ def broadcast_spatial(x: Tensor, height: int, width: int) -> Tensor:
     """Tile an (n, c, 1, 1) tensor to (n, c, height, width)."""
     if x.data.ndim != 4 or x.shape[2] != 1 or x.shape[3] != 1:
         raise ShapeError(f"broadcast_spatial: expected (n, c, 1, 1), got {x.shape}")
-    if type(height) is not int or type(width) is not int:
-        raise ConfigError(
-            f"broadcast_spatial: target extent must be integers, got {height!r}, {width!r}")
-    if height < 1 or width < 1:
-        raise ShapeError(f"broadcast_spatial: target extent {height}x{width} invalid")
+    _check_int("broadcast_spatial: height", height, 1)
+    _check_int("broadcast_spatial: width", width, 1)
     n, c = x.shape[0], x.shape[1]
     return _record("broadcast_spatial", np.broadcast_to(x.data, (n, c, height, width)).copy(),
                    (x,), lambda g: (g.sum(axis=(2, 3), keepdims=True),))

@@ -12,6 +12,7 @@ from cefpn.gradcheck import DEFAULT_THRESHOLD, check_loss_gradients, end_to_end_
     op_gradient_suite
 from cefpn.tensor import _record, add, mul, relu, sum_all
 import cefpn.gradcheck
+import cefpn.neck
 
 EXPECTED_OPS = {
     "conv2d_1x1", "conv2d_3x3", "conv2d_3x3_im2col", "max_pool2d",
@@ -203,8 +204,30 @@ def test_full_forward_runs_only_for_pyramid_picks(f5_p5, monkeypatch):
 
         monkeypatch.setattr(cefpn.gradcheck, name, counted)
     end_to_end_gradcheck(config, seed=1)
+    # head_stage: one run to route the picks, one analytic, two per head pick
     assert calls == {"cefpn_forward": 1 + 2 * pyramid_picks, "pyramid_stage": 1,
-                     "head_stage": 1 + 2 * (200 - pyramid_picks)}
+                     "head_stage": 2 + 2 * (200 - pyramid_picks)}
+
+
+@pytest.fixture
+def detached_f2(monkeypatch):
+    """A top-down merge that cuts F2 from the graph: ``lateral.C2``'s analytic
+    gradient is zero, its numeric gradient is not."""
+    real = cefpn.neck.top_down_merge
+
+    def merge(features, params):
+        features[2] = Tensor(features[2].data)
+        return real(features, params)
+
+    monkeypatch.setattr(cefpn.neck, "top_down_merge", merge)
+
+
+@pytest.mark.parametrize("seed", [1, 3])  # desk seeds that pick in lateral.C2
+@pytest.mark.parametrize("scheme", ["a", "b", "c"])
+def test_end_to_end_catches_a_detached_lateral(detached_f2, scheme, seed):
+    # no graph reaches lateral.C2, so its picks run through the full neck
+    result = end_to_end_gradcheck(desk(ssf_scheme=scheme), seed=seed)
+    assert result.max_rel_error > DEFAULT_THRESHOLD
 
 
 def test_end_to_end_catches_a_corrupted_neck_conv(corrupt_neck_conv):

@@ -44,7 +44,7 @@ def test_every_path_rejects_an_odd_c5_extent(path):
 @pytest.mark.parametrize("path", sorted(GEOMETRY_PATHS))
 @pytest.mark.parametrize("height, width", [(64.0, 64), (64, 128.0)])
 def test_every_path_rejects_a_non_integer_extent(path, height, width):
-    with pytest.raises(ConfigError, match="must be integers"):
+    with pytest.raises(ConfigError, match="geometry (height|width) must be an integer, got"):
         GEOMETRY_PATHS[path](height, width)
 
 

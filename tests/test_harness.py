@@ -405,6 +405,9 @@ class TestCli:
         ({"batch": 1.5}, ["--suite", "forward"]),
         ({"seed": -1}, ["--suite", "forward"]),
         ([1, 2], ["--suite", "cost"]),
+        (b"{not json", ["--suite", "cost"]),
+        (b"\xff{}", ["--suite", "cost"]),  # not UTF-8
+        (None, ["--config", str(Path(__file__).parent / "no_such_config.json")]),
         (None, ["--suite", "all", "--precision", "float32"]),
         (None, ["--ssf-scheme", "d"]),
         (None, ["--suite", "x"]),
@@ -418,7 +421,7 @@ class TestCli:
             monkeypatch.setattr(cefpn.harness, name, lambda *a, name=name: ran.append(name))
         if config is not None:
             cfg_file = tmp_path / "cfg.json"
-            cfg_file.write_text(json.dumps(config))
+            cfg_file.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
             argv = ["--config", str(cfg_file), *argv]
         code = main(argv)
         captured = capsys.readouterr()

@@ -38,3 +38,9 @@ def _check_4d(name: str, x) -> None:
     """Raise ``ShapeError`` unless tensor ``x`` is 4-d."""
     if x.data.ndim != 4:
         raise ShapeError(f"{name} must be 4-d, got shape {x.shape}")
+
+
+def _check_spatial_vector(name: str, x) -> None:
+    """Raise ``ShapeError`` unless tensor ``x`` is (n, c, 1, 1)."""
+    if x.data.ndim != 4 or x.shape[2] != 1 or x.shape[3] != 1:
+        raise ShapeError(f"{name}: expected (n, c, 1, 1), got {x.shape}")

@@ -94,15 +94,15 @@ def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
     if picks is None:
         picks = np.arange(sum(sizes))
     bounds = np.cumsum([0] + sizes)
+    which = np.searchsorted(bounds, picks, side="right") - 1  # each pick's leaf
+    offsets = np.asarray(picks) - bounds[which]
     worst = 0.0
     flags = [leaf.requires_grad for leaf in leaves]
     for leaf in leaves:
         leaf.requires_grad = False
     try:
-        for flat in picks:
-            which = int(np.searchsorted(bounds, flat, side="right") - 1)
-            leaf = leaves[which]
-            idx = int(flat - bounds[which])
+        for k, idx in zip(which.tolist(), offsets.tolist()):
+            leaf = leaves[k]
             analytic = 0.0 if leaf.grad is None else float(leaf.grad.flat[idx])
             numeric = central_difference(lambda: loss_fn().item(), leaf, idx)
             worst = _worse(worst, relative_error(analytic, numeric, floor))

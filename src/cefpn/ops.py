@@ -12,8 +12,13 @@ Every other convolution is one weight-major GEMM per direction: forward
 ``W @ cols``, weight gradient ``g @ cols^T`` summed over the batch, input
 gradient ``W^T @ g``, folded back by col2im (9 shifted adds) for a 3x3.
 Either way the input gradient is computed only when the input requires a
-gradient. Backward passes route max-pool gradients to the first maximal
-element in row-major window scan order on exact ties.
+gradient. im2col copies its (n, c, 3, 3, h, w) windows once, from a strided
+view of the padded input.
+Max pooling is a separable running maximum, over each padded row's column
+taps and then over those row maxima, so a k x k window costs 2(k-1) maxima,
+not k^2-1. Backward passes route max-pool gradients to the first maximal
+element in row-major window scan order on exact ties; in a window that holds
+NaN the output is NaN and the routed element is the separable scan's.
 """
 
 from __future__ import annotations
@@ -121,6 +126,8 @@ class ConvSpec:
     stride = 1
 
     def __post_init__(self):
+        _check_int("conv in_channels", self.in_channels, 1)
+        _check_int("conv out_channels", self.out_channels, 1)
         _check_choice("conv kernel", self.kernel, (1, 3))
         expect = (self.out_channels, self.in_channels, self.kernel, self.kernel)
         if self.weight.shape != expect:
@@ -157,6 +164,8 @@ class LinearSpec:
     bias: Tensor
 
     def __post_init__(self):
+        _check_int("linear in_features", self.in_features, 1)
+        _check_int("linear out_features", self.out_features, 1)
         if self.weight.shape != (self.out_features, self.in_features):
             raise ConfigError(
                 f"linear weight shape {self.weight.shape} != {(self.out_features, self.in_features)}")
@@ -178,15 +187,17 @@ class LinearSpec:
 
 def _gather_windows(x: np.ndarray) -> np.ndarray:
     """(n, c, h, w) input -> (n, c, 3, 3, h, w) stack of its zero-padded 3x3
-    windows."""
+    windows, copied once from a strided view of the padded input whose tap
+    axes (ky, kx) step by one row and one column, like (y, x) do. The view
+    is built with the ``ndarray`` constructor, which checks that it fits in
+    ``padded``, rather than ``as_strided``, whose Python wrapper costs more
+    than the copy at desk scale."""
     n, c, h, w = x.shape
     padded = np.zeros((n, c, h + 2, w + 2), dtype=x.dtype)
     padded[:, :, 1:h + 1, 1:w + 1] = x
-    cols = np.empty((n, c, 3, 3, h, w), dtype=x.dtype)
-    for ky in range(3):
-        for kx in range(3):
-            cols[:, :, ky, kx] = padded[:, :, ky:ky + h, kx:kx + w]
-    return cols
+    sn, sc, sy, sx = padded.strides
+    return np.ndarray((n, c, 3, 3, h, w), x.dtype, padded, 0,
+                      (sn, sc, sy, sx, sy, sx)).copy()
 
 
 def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
@@ -312,13 +323,20 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
 
     ``padding`` must be below ``kernel``, so every window holds an input value.
 
-    A running maximum over the k^2 window taps, each a strided view of the
-    input. When ``x`` requires grad, the first maximal tap in row-major scan
-    order is tracked too (strict ``>``), for the backward pass.
+    A separable running maximum: first over the ``kernel`` column taps of
+    every padded row a window reads, then over the ``kernel`` row taps of
+    those row maxima, 2(k-1) ``np.maximum`` calls in all. When ``x`` requires
+    grad, the first maximal column tap of each row and then the first maximal
+    row are kept (strict ``>``), which is the first maximal tap in row-major
+    window scan order; the backward routes the gradient there. A window that
+    holds NaN gives NaN. NaN compares false either way, so its gradient goes
+    where the two scans leave it, which can differ from where one scan of the
+    k^2 taps would.
     """
     _check_4d("max_pool2d: input", x)
-    for name, v, low in (("kernel", kernel, 1), ("stride", stride, 1), ("padding", padding, 0)):
-        _check_int(f"max_pool2d: {name}", v, low)
+    _check_int("max_pool2d: kernel", kernel, 1)
+    _check_int("max_pool2d: stride", stride, 1)
+    _check_int("max_pool2d: padding", padding, 0)
     if padding >= kernel:
         raise ConfigError(f"max_pool2d: padding {padding} must be below kernel {kernel}")
     n, c, h, w = x.shape
@@ -332,13 +350,22 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     if padding:
         padded = np.full((n, c, h + 2 * padding, w + 2 * padding), NEG_INF, dtype=x.dtype)
         padded[:, :, padding:padding + h, padding:padding + w] = x.data
-    taps = [padded[:, :, ky:ky + stride * oh:stride, kx:kx + stride * ow:stride]
-            for ky in range(kernel) for kx in range(kernel)]
-    out = taps[0].copy()
-    idx = np.zeros(out.shape, dtype=np.intp) if x.requires_grad else None
-    for t, tap in enumerate(taps[1:], start=1):
-        if idx is not None:
-            np.copyto(idx, t, where=tap > out)
+    grad = x.requires_grad
+    rows = padded[:, :, :stride * (oh - 1) + kernel]  # the rows some window reads
+    row_max = rows[:, :, :, :stride * ow:stride].copy()
+    row_arg = np.zeros(row_max.shape, dtype=np.intp) if grad else None
+    for kx in range(1, kernel):
+        tap = rows[:, :, :, kx:kx + stride * ow:stride]
+        if grad:
+            np.copyto(row_arg, kx, where=tap > row_max)
+        np.maximum(row_max, tap, out=row_max)
+    out = row_max[:, :, :stride * oh:stride].copy()
+    idx = row_arg[:, :, :stride * oh:stride].copy() if grad else None  # flat tap ky*k + kx
+    for ky in range(1, kernel):
+        tap = row_max[:, :, ky:ky + stride * oh:stride]
+        if grad:
+            np.copyto(idx, row_arg[:, :, ky:ky + stride * oh:stride] + ky * kernel,
+                      where=tap > out)
         np.maximum(out, tap, out=out)
 
     def grad_fn(g: np.ndarray):
@@ -364,7 +391,9 @@ def global_avg_pool(x: Tensor) -> Tensor:
     def grad_fn(g):
         return (np.broadcast_to(g / (h * w), x.shape).copy(),)
 
-    return _record("global_avg_pool", x.data.mean(axis=(2, 3), keepdims=True), (x,), grad_fn)
+    # np.mean's own arithmetic (sum, then one division), without its wrapper
+    return _record("global_avg_pool", x.data.sum(axis=(2, 3), keepdims=True) / (h * w), (x,),
+                   grad_fn)
 
 
 def global_max_pool(x: Tensor) -> Tensor:

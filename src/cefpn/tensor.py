@@ -26,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, ShapeError, _check_4d, _check_int
+from .errors import ConfigError, ContractError, ShapeError, _check_4d, _check_int, \
+    _check_spatial_vector
 
 DTYPES = {"float64": np.float64, "float32": np.float32}
 
@@ -55,7 +56,7 @@ class scope:
     def __exit__(self, kind, err, tb) -> None:
         global _scope
         _scope = self._outer
-        if isinstance(err, (ShapeError, ConfigError)):
+        if err is not None and isinstance(err, (ShapeError, ConfigError)):
             raise type(err)(f"{self.path}: {err}") from err
 
 
@@ -78,7 +79,7 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     would return ``a`` itself."""
     if a.ndim == 0 or not a.flags.c_contiguous:
         a = np.ascontiguousarray(a)
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
@@ -119,7 +120,7 @@ class Tensor:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, op={self._op})"
 
 
-def _wrap(data: np.ndarray, requires_grad: bool = False, op: str = "leaf") -> Tensor:
+def _wrap(data: np.ndarray, requires_grad: bool = False) -> Tensor:
     """Freeze a fresh buffer into a tensor without copying it; the caller
     must hold no other reference it will write through."""
     out = Tensor.__new__(Tensor)
@@ -128,7 +129,7 @@ def _wrap(data: np.ndarray, requires_grad: bool = False, op: str = "leaf") -> Te
     out.grad = None
     out._parents = ()
     out._grad_fn = None
-    out._op = op
+    out._op = "leaf"
     return out
 
 
@@ -146,10 +147,17 @@ def _record(op: str, out_data: np.ndarray, parents: tuple[Tensor, ...],
         if p.requires_grad:
             requires_grad = True
             break
-    out = _wrap(out_data, requires_grad, op)
+    out = Tensor.__new__(Tensor)  # _wrap, inline
+    out.data = _freeze(out_data)
+    out.requires_grad = requires_grad
+    out.grad = None
+    out._op = op
     if requires_grad:
         out._parents = parents
         out._grad_fn = grad_fn
+    else:
+        out._parents = ()
+        out._grad_fn = None
     return out
 
 
@@ -289,12 +297,13 @@ def relu(x: Tensor) -> Tensor:
 
 
 def sigmoid(x: Tensor) -> Tensor:
+    """1 / (1 + exp(-d)) where d >= 0, else exp(d) / (1 + exp(d)): exp never
+    sees a positive argument, so it cannot overflow. ``min(d, -d)`` is -|d|
+    that keeps a NaN's sign, so a NaN input gives the NaN ``exp(d)`` does."""
     d = x.data
-    s = np.empty_like(d)
-    pos = d >= 0
-    s[pos] = 1.0 / (1.0 + np.exp(-d[pos]))
-    ex = np.exp(d[~pos])
-    s[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(d, -d))
+    t = 1.0 + e
+    s = np.where(d >= 0, 1.0 / t, e / t)
     return _record("sigmoid", s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -313,8 +322,8 @@ def mul_channelwise(x: Tensor, w: Tensor) -> Tensor:
 
 
 def sum_all(x: Tensor) -> Tensor:
-    """Reduce to a rank-0 scalar tensor."""
-    return _record("sum_all", np.asarray(x.data.sum()), (x,),
+    """Reduce to a one-element tensor of shape (1,)."""
+    return _record("sum_all", x.data.sum(keepdims=True).reshape(1), (x,),
                    lambda g: (np.broadcast_to(g, x.shape).copy(),))
 
 
@@ -337,19 +346,18 @@ def channel_slice(x: Tensor, start: int, stop: int) -> Tensor:
 
 def broadcast_spatial(x: Tensor, height: int, width: int) -> Tensor:
     """Tile an (n, c, 1, 1) tensor to (n, c, height, width)."""
-    if x.data.ndim != 4 or x.shape[2] != 1 or x.shape[3] != 1:
-        raise ShapeError(f"broadcast_spatial: expected (n, c, 1, 1), got {x.shape}")
+    _check_spatial_vector("broadcast_spatial", x)
     _check_int("broadcast_spatial: height", height, 1)
     _check_int("broadcast_spatial: width", width, 1)
-    n, c = x.shape[0], x.shape[1]
-    return _record("broadcast_spatial", np.broadcast_to(x.data, (n, c, height, width)).copy(),
-                   (x,), lambda g: (g.sum(axis=(2, 3), keepdims=True),))
+    out = np.empty((x.shape[0], x.shape[1], height, width), dtype=x.dtype)
+    out[...] = x.data
+    return _record("broadcast_spatial", out, (x,),
+                   lambda g: (g.sum(axis=(2, 3), keepdims=True),))
 
 
 def squeeze_spatial(x: Tensor) -> Tensor:
     """Drop trailing unit spatial dims: (n, c, 1, 1) -> (n, c)."""
-    if x.data.ndim != 4 or x.shape[2] != 1 or x.shape[3] != 1:
-        raise ShapeError(f"squeeze_spatial: expected (n, c, 1, 1), got {x.shape}")
+    _check_spatial_vector("squeeze_spatial", x)
     n, c = x.shape[0], x.shape[1]
     return _record("squeeze_spatial", x.data.reshape(n, c).copy(), (x,),
                    lambda g: (g.reshape(n, c, 1, 1),))

@@ -10,7 +10,7 @@ from cefpn import BackbonePyramid, ConfigError, ContractError, ConvSpec, LinearS
     mul_channelwise, pixel_shuffle, pixel_unshuffle, ssf_fuse, synthetic_backbone, \
     top_down_merge, variant_report
 from cefpn.backbone import check_geometry
-from cefpn.tensor import broadcast_spatial, channel_slice
+from cefpn.tensor import broadcast_spatial, channel_slice, squeeze_spatial
 
 DESK = NeckConfig(base_channel=16, attention_reduction=4)
 X3 = Tensor(np.zeros((1, 4, 4)))  # a map missing its batch axis
@@ -57,6 +57,15 @@ REJECTIONS = {
                     "conv weight shape"),
     "conv bias": (lambda p: ConvSpec(1, 1, 1, zeros(1, 1, 1, 1), zeros(2)), ConfigError,
                   "conv bias must be"),
+    "conv in_channels float": (lambda p: ConvSpec(2.0, 1, 1, zeros(1, 2, 1, 1), zeros(1)),
+                               ConfigError, "conv in_channels must be an integer >= 1, got 2.0"),
+    "conv out_channels 0": (lambda p: ConvSpec(1, 0, 1, zeros(0, 1, 1, 1), zeros(0)),
+                            ConfigError, "conv out_channels must be an integer >= 1, got 0"),
+    "linear in_features bool": (lambda p: LinearSpec(True, 1, zeros(1, 1), zeros(1)),
+                                ConfigError, "linear in_features must be an integer >= 1, got True"),
+    "linear out_features float": (lambda p: LinearSpec(1, 1.0, zeros(1, 1), zeros(1)),
+                                  ConfigError,
+                                  "linear out_features must be an integer >= 1, got 1.0"),
     "linear weight": (lambda p: LinearSpec(2, 1, zeros(2, 1), zeros(1)), ConfigError,
                       "linear weight shape"),
     "linear bias": (lambda p: LinearSpec(2, 1, zeros(1, 2), zeros(1, 1)), ConfigError,
@@ -71,6 +80,10 @@ REJECTIONS = {
                         ConfigError, "ssf_fuse: scheme must be one of ('a', 'b', 'c'), got 'd'"),
     "ssf_fuse source": (lambda p: ssf_fuse(zeros(1, 32, 2, 2), zeros(1, 16, 4, 4), "c", p),
                         ConfigError, "ssf_fuse: source channels must be one of (64, 128), got 32"),
+    "broadcast_spatial shape": (lambda p: broadcast_spatial(zeros(1, 4, 2, 1), 2, 2), ShapeError,
+                                "broadcast_spatial: expected (n, c, 1, 1), got (1, 4, 2, 1)"),
+    "squeeze_spatial 3-d": (lambda p: squeeze_spatial(zeros(1, 4, 1)), ShapeError,
+                            "squeeze_spatial: expected (n, c, 1, 1), got (1, 4, 1)"),
     "broadcast extent 0": (lambda p: broadcast_spatial(zeros(1, 4, 1, 1), 0, 3), ConfigError,
                            "broadcast_spatial: height must be an integer >= 1, got 0"),
     "top_down_merge empty": (lambda p: top_down_merge({}, p), ShapeError,

@@ -6,9 +6,11 @@ One analytic forward keeps the graph for ``backward``; for the numeric
 forwards every checked leaf has ``requires_grad`` switched off (and restored
 afterwards), so they record no graph and keep nothing for a backward pass.
 Their values are bit for bit those of the graph forward. The end-to-end
-check is two such checks: head parameters through the head alone over a
-fixed, detached pyramid, every other parameter through the full neck. A
-non-finite gradient on either side makes the error non-finite, which fails.
+check is one such check per route: parameters no head graph reaches through
+the full neck, and head parameters through the head alone over a fixed,
+detached pyramid, re-running only the SCE branch that reads them (none for
+an attention parameter). A non-finite gradient on any route makes the error
+non-finite, which fails.
 Double precision is required; with h = ``DEFAULT_STEP`` = 1e-6 the
 truncation and roundoff floors sit far below the 1e-4 acceptance threshold.
 """
@@ -23,8 +25,9 @@ import numpy as np
 
 from .backbone import synthetic_backbone
 from .errors import ConfigError
-from .neck import NeckConfig, PyramidOutputs, cefpn_forward, head_stage, init_neck_params, \
-    pixel_shuffle, pixel_unshuffle, pyramid_stage
+from .neck import BackbonePyramid, NeckConfig, NeckParams, PyramidOutputs, _add_context, \
+    _attend, _pyramid_mean, _sce_global, _sce_local, _sce_sum, _sce_wide, cefpn_forward, \
+    head_stage, init_neck_params, pixel_shuffle, pixel_unshuffle, pyramid_stage
 from .ops import ConvSpec, LinearSpec, conv2d, global_avg_pool, global_max_pool, \
     interpolate_nearest, linear, max_pool2d
 from .tensor import GradTape, Tensor, add, backward, broadcast_spatial, channel_slice, \
@@ -216,6 +219,36 @@ def _level_sum(outs: PyramidOutputs) -> Tensor:
     return loss
 
 
+def _reached(out: Tensor) -> set[int]:
+    """Ids of the leaves of ``out``'s graph; the graph dies on return."""
+    return {id(t) for t in GradTape(out).leaves()}
+
+
+def _head_losses(backbone: BackbonePyramid, pyramid: dict[int, Tensor], params: NeckParams,
+                 config: NeckConfig) -> Callable[[tuple[int, ...]], Callable[[], Tensor]]:
+    """``loss_for(route)``: a head loss that re-runs only the SCE branches
+    whose indices (0 local, 1 wide, 2 global) are in ``route``.
+
+    The other branch outputs and the pyramid mean are computed here, once,
+    and detached. Every loss is the sum of the same arrays as
+    ``_level_sum(head_stage(backbone, pyramid, params, config))``.
+    """
+    c5 = backbone.c5
+    branches = (_sce_local, _sce_wide, _sce_global)
+    cached = [Tensor(branch(c5, params).data) for branch in branches]
+    mean = Tensor(_pyramid_mean(pyramid[2], pyramid[3], pyramid[4]).data)
+
+    def loss_for(route: tuple[int, ...]) -> Callable[[], Tensor]:
+        def loss() -> Tensor:
+            outs = [branch(c5, params) if k in route else cached[k]
+                    for k, branch in enumerate(branches)]
+            context = _sce_sum(*outs)
+            return _level_sum(_attend(_add_context(mean, context), pyramid, params, config))
+        return loss
+
+    return loss_for
+
+
 def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
                          batch: int = 1, seed: int = 0, samples: int = 200,
                          pattern: str = "noise") -> EndToEndResult:
@@ -223,11 +256,15 @@ def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
 
     The forward pass is rebuilt from the same parameter tensors on every
     evaluation, so each perturbation flows through every op it reaches.
-    A pick in a parameter that the graph of ``head_stage``, run once over
-    the detached pyramid, reaches is checked through the head alone; every
-    other pick goes through the full neck. So a parameter whose graph edge
-    is lost runs through the full neck, where its numeric gradient shows.
-    The error is the worse of the two checks.
+    Picks are routed by graph. ``head_stage`` runs once over the detached
+    pyramid, and each SCE branch once over C5. A pick in a parameter that
+    the head graph reaches is checked through a head that re-runs only the
+    branches whose graphs reach it: none for a ``cag.*`` tensor. The other
+    branch outputs and the pyramid mean come from cache. Every other pick
+    goes through the full neck, so a parameter whose graph edge is lost
+    runs there, where its numeric gradient shows. Each loss is the sum of
+    the same arrays the full head would give, so the error is that of one
+    check over the whole head: the worst over all routes.
     """
     params = init_neck_params(config, seed)
     backbone = synthetic_backbone(config.base_channel, height, width, batch,
@@ -239,10 +276,19 @@ def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
     else:
         picks = np.sort(np.random.default_rng(seed + 2).choice(total, samples, replace=False))
     pyramid = {i: Tensor(p.data) for i, p in pyramid_stage(backbone, params, config).items()}
-    head_loss = lambda: _level_sum(head_stage(backbone, pyramid, params, config))
-    reached = {id(t) for t in GradTape(head_loss()).leaves()}
-    in_head = np.repeat([id(t) in reached for t in leaves], [t.size for t in leaves])[picks]
-    full = check_loss_gradients(lambda: _level_sum(cefpn_forward(backbone, params, config)),
-                                leaves, picks[~in_head])
-    head = check_loss_gradients(head_loss, leaves, picks[in_head])
-    return EndToEndResult(_worse(full, head), len(picks), total)
+    # Route on ids alone, so each routing graph dies before the checks run.
+    head_ids = _reached(_level_sum(head_stage(backbone, pyramid, params, config)))
+    branch_ids = [_reached(branch(backbone.c5, params))
+                  for branch in (_sce_local, _sce_wide, _sce_global)]
+    # each leaf's route: None for the full neck, else the branches that read it
+    leaf_routes = [tuple(k for k, ids in enumerate(branch_ids) if id(t) in ids)
+                   if id(t) in head_ids else None for t in leaves]
+    routes = [None] + sorted({r for r in leaf_routes if r is not None})
+    pick_route = np.repeat([routes.index(r) for r in leaf_routes], [t.size for t in leaves])[picks]
+    worst = check_loss_gradients(lambda: _level_sum(cefpn_forward(backbone, params, config)),
+                                 leaves, picks[pick_route == 0])
+    loss_for = _head_losses(backbone, pyramid, params, config)
+    for j in np.unique(pick_route[pick_route > 0]).tolist():
+        worst = _worse(worst, check_loss_gradients(loss_for(routes[j]), leaves,
+                                                   picks[pick_route == j]))
+    return EndToEndResult(worst, len(picks), total)

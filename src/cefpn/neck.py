@@ -330,41 +330,67 @@ def sce_forward(c5: Tensor, params: NeckParams) -> Tensor:
        pixel shuffle (wider receptive field);
     3. global average pool, 1x1 squeeze 8c -> c, broadcast (global context).
 
+    Each pathway is its own function (``_sce_local``, ``_sce_wide``,
+    ``_sce_global``), summed by ``_sce_sum``, so the gradient check can
+    re-run one pathway over fixed outputs of the other two.
+
     An odd C5 extent h pools to (h + 1) / 2, so pathway 2 emits 2h + 2
     against 2h and the sum at ``sce.aggregate`` rejects it.
     """
+    return _sce_sum(_sce_local(c5, params), _sce_wide(c5, params), _sce_global(c5, params))
+
+
+def _sce_local(c5: Tensor, params: NeckParams) -> Tensor:
     with scope("sce.local_3x3"):
         local = conv2d(c5, params.sce_local)
     with scope("sce.local_shuffle"):
-        local = pixel_shuffle(local, 2)
+        return pixel_shuffle(local, 2)
+
+
+def _sce_wide(c5: Tensor, params: NeckParams) -> Tensor:
     with scope("sce.pool_3x3"):
         pooled = max_pool2d(c5, kernel=3, stride=2, padding=1)
     with scope("sce.wide_1x1"):
         wide = conv2d(pooled, params.sce_wide)
     with scope("sce.wide_shuffle"):
-        wide = pixel_shuffle(wide, 4)
+        return pixel_shuffle(wide, 4)
+
+
+def _sce_global(c5: Tensor, params: NeckParams) -> Tensor:
     with scope("sce.global_pool"):
         pooled = global_avg_pool(c5)
     with scope("sce.squeeze_1x1"):
         squeezed = conv2d(pooled, params.sce_squeeze)
     with scope("sce.broadcast"):
-        ctx = broadcast_spatial(squeezed, 2 * c5.shape[2], 2 * c5.shape[3])
+        return broadcast_spatial(squeezed, 2 * c5.shape[2], 2 * c5.shape[3])
+
+
+def _sce_sum(local: Tensor, wide: Tensor, ctx: Tensor) -> Tensor:
     with scope("sce.aggregate"):
         return add(add(local, wide), ctx)
 
 
 def build_integration_map(p2: Tensor, p3: Tensor, p4: Tensor, sce_out: Tensor) -> Tensor:
-    """Average the pyramid at stride-16 resolution and add the context map.
+    """Average the pyramid at stride-16 resolution (``_pyramid_mean``) and add
+    the context map (``_add_context``).
 
     P2 and P3 are brought to P4's extent by 4x and 2x max pooling; coarser
-    levels do not exist, so no interpolation branch is needed.
+    levels do not exist, so no interpolation branch is needed. The mean
+    reads no parameter, so the gradient check computes it once.
     """
+    return _add_context(_pyramid_mean(p2, p3, p4), sce_out)
+
+
+def _pyramid_mean(p2: Tensor, p3: Tensor, p4: Tensor) -> Tensor:
     with scope("integration.pool_P2"):
         down2 = max_pool2d(p2, kernel=4, stride=4)
     with scope("integration.pool_P3"):
         down3 = max_pool2d(p3, kernel=2, stride=2)
     with scope("integration.mean"):
-        mean = scale(add(add(down2, down3), p4), 1.0 / 3.0)
+        return scale(add(add(down2, down3), p4), 1.0 / 3.0)
+
+
+def _add_context(mean: Tensor, sce_out: Tensor) -> Tensor:
     with scope("integration.add_context"):
         return add(mean, sce_out)
 
@@ -419,13 +445,21 @@ def pyramid_stage(backbone: BackbonePyramid, params: NeckParams,
 
 def head_stage(backbone: BackbonePyramid, pyramid: dict[int, Tensor], params: NeckParams,
                config: NeckConfig) -> PyramidOutputs:
-    """Context, integration map and attention over a given pyramid.
+    """Context, integration map and attention over a given pyramid:
+    ``sce_forward``, ``build_integration_map``, then ``_attend``.
 
     R5 comes from P5 when F5/P5 are kept, otherwise from a parameter-free
     stride-2 subsample of P4 (kernel-1 max pool). ``pyramid`` is not changed.
     """
     context = sce_forward(backbone.c5, params)
     integration = build_integration_map(pyramid[2], pyramid[3], pyramid[4], context)
+    return _attend(integration, pyramid, params, config)
+
+
+def _attend(integration: Tensor, pyramid: dict[int, Tensor], params: NeckParams,
+            config: NeckConfig) -> PyramidOutputs:
+    """The CAG weights of the integration map, applied to P2..P4 and to P5
+    or, without F5/P5, the R5 subsample."""
     weights = cag_weights(integration, params)
     levels = dict(pyramid)
     if not config.include_f5_p5:

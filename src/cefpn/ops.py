@@ -211,7 +211,7 @@ def conv2d(x: Tensor, spec: ConvSpec) -> Tensor:
     tap-major copy would allocate the trace's zero-stride placeholder weight.
     """
     _check_4d("conv2d: input", x)
-    n, c, h, w = x.shape
+    n, c, h, w = x.data.shape
     if c != spec.in_channels:
         raise ConfigError(
             f"conv2d: input has {c} channels but the layer expects {spec.in_channels}")
@@ -275,7 +275,7 @@ def _conv3x3_shifted(x: Tensor, spec: ConvSpec) -> Tensor:
     image, so its temp holds one image: these are the per-image GEMMs that
     a batched ``matmul`` issues, and every sum is the same.
     """
-    n, c, h, w = x.shape
+    n, c, h, w = x.data.shape
     o, wp = spec.out_channels, w + 2
     m = h * wp
     offsets = [ky * wp + kx for ky in range(3) for kx in range(3)]
@@ -339,7 +339,7 @@ def max_pool2d(x: Tensor, kernel: int, stride: int, padding: int = 0) -> Tensor:
     _check_int("max_pool2d: padding", padding, 0)
     if padding >= kernel:
         raise ConfigError(f"max_pool2d: padding {padding} must be below kernel {kernel}")
-    n, c, h, w = x.shape
+    n, c, h, w = x.data.shape
     oh = (h + 2 * padding - kernel) // stride + 1
     ow = (w + 2 * padding - kernel) // stride + 1
     if oh < 1 or ow < 1:

@@ -273,14 +273,14 @@ def backward(loss: Tensor) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; shapes must match exactly."""
-    if a.shape != b.shape:
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
     return _record("add", a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; shapes must match exactly."""
-    if a.shape != b.shape:
+    if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: shapes {a.shape} and {b.shape} differ")
     return _record("mul", a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
@@ -313,8 +313,8 @@ def mul_channelwise(x: Tensor, w: Tensor) -> Tensor:
     ``x`` is (n, c, h, w); ``w`` is (n, c), one weight vector per sample.
     """
     _check_4d("mul_channelwise: x", x)
-    n, c = x.shape[0], x.shape[1]
-    if w.shape != (n, c):
+    n, c = x.data.shape[:2]
+    if w.data.shape != (n, c):
         raise ShapeError(f"mul_channelwise: weight shape {w.shape} is not (n, c) = {(n, c)}")
     wb = w.data.reshape(n, c, 1, 1)
     return _record("mul_channelwise", x.data * wb, (x, w),

@@ -8,11 +8,13 @@ import pytest
 from cefpn import ConfigError, NeckConfig, RunConfig, Tensor, cefpn_forward, init_neck_params, \
     ops, run_gradcheck, synthetic_backbone
 from cefpn.cli import main
-from cefpn.gradcheck import DEFAULT_THRESHOLD, check_loss_gradients, end_to_end_gradcheck, \
-    op_gradient_suite
+from cefpn.gradcheck import DEFAULT_THRESHOLD, _head_losses, _level_sum, check_loss_gradients, \
+    end_to_end_gradcheck, op_gradient_suite
+from cefpn.neck import head_stage, pyramid_stage
 from cefpn.tensor import _record, add, mul, relu, sum_all
 import cefpn.gradcheck
 import cefpn.neck
+import cefpn.tensor
 
 EXPECTED_OPS = {
     "conv2d_1x1", "conv2d_3x3", "conv2d_3x3_im2col", "max_pool2d",
@@ -184,17 +186,33 @@ def test_end_to_end_equals_full_forward_reference(scheme, f5_p5, batch):
     assert got == full_forward_reference(config, batch, seed=1)
 
 
+def _picked_layers(config, seed, samples=200):
+    """The layer of each coordinate ``end_to_end_gradcheck`` picks, e.g.
+    ``sce.local_3x3``, as a numpy string array."""
+    params = init_neck_params(config, seed)
+    layers = np.concatenate([np.full(t.size, name.rsplit(".", 1)[0])
+                             for name, t in params.named_parameters()])
+    return layers[np.random.default_rng(seed + 2).choice(layers.size, samples, replace=False)]
+
+
+# The SCE branch whose graph reaches each SCE layer, by its name in gradcheck.
+BRANCH_OF = {"sce.local_3x3": "_sce_local", "sce.wide_1x1": "_sce_wide",
+             "sce.squeeze_1x1": "_sce_global"}
+
+
+@pytest.mark.parametrize("seed, cag_picks", [(1, 0), (3, 1)])  # seed 1: no _sce_global pick
 @pytest.mark.parametrize("f5_p5", [False, True])
-def test_full_forward_runs_only_for_pyramid_picks(f5_p5, monkeypatch):
+def test_full_forward_runs_only_for_pyramid_picks(f5_p5, seed, cag_picks, monkeypatch):
     config = desk(ssf_scheme="a", include_f5_p5=f5_p5)
-    params = init_neck_params(config, 1)
-    pyramid = ("lateral", "post_merge", "ssf")  # the modules pyramid_stage reads
-    in_pyramid = np.concatenate([np.full(t.size, name.split(".")[0] in pyramid)
-                                 for name, t in params.named_parameters()])
-    picks = np.random.default_rng(3).choice(in_pyramid.size, size=200, replace=False)
-    pyramid_picks = int(np.count_nonzero(in_pyramid[picks]))
-    assert 0 < pyramid_picks < 200
-    calls = {"cefpn_forward": 0, "pyramid_stage": 0, "head_stage": 0}
+    layers = _picked_layers(config, seed)
+    module = np.array([name.split(".")[0] for name in layers])
+    picks = {"pyramid": np.isin(module, ["lateral", "post_merge", "ssf"]), "cag": module == "cag"}
+    picks.update({b: layers == layer for layer, b in BRANCH_OF.items()})
+    picks = {route: int(np.count_nonzero(hit)) for route, hit in picks.items()}
+    assert sum(picks.values()) == 200 and 0 < picks["pyramid"] < 200
+    assert picks["cag"] == cag_picks
+    calls = dict.fromkeys(["cefpn_forward", "pyramid_stage", "head_stage", "_attend",
+                           *BRANCH_OF.values()], 0)
     for name in calls:
         real = getattr(cefpn.gradcheck, name)
 
@@ -203,10 +221,28 @@ def test_full_forward_runs_only_for_pyramid_picks(f5_p5, monkeypatch):
             return _real(*args)
 
         monkeypatch.setattr(cefpn.gradcheck, name, counted)
-    end_to_end_gradcheck(config, seed=1)
-    # head_stage: one run to route the picks, one analytic, two per head pick
-    assert calls == {"cefpn_forward": 1 + 2 * pyramid_picks, "pyramid_stage": 1,
-                     "head_stage": 2 + 2 * (200 - pyramid_picks)}
+    end_to_end_gradcheck(config, seed=seed)
+    # a route with picks runs once for the analytic gradient and twice per
+    # pick; each branch also runs once to route and once to fill the cache,
+    # and a cag.* pick re-runs _attend alone
+    runs = {route: 1 + 2 * n if n else 0 for route, n in picks.items()}
+    assert calls == {"cefpn_forward": 1 + 2 * picks["pyramid"], "pyramid_stage": 1, "head_stage": 1,
+                     "_attend": sum(n for route, n in runs.items() if route != "pyramid"),
+                     **{b: 2 + runs[b] for b in BRANCH_OF.values()}}
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("f5_p5", [False, True])
+@pytest.mark.parametrize("scheme", ["a", "b", "c"])
+def test_every_branch_route_sums_the_arrays_of_the_full_head(scheme, f5_p5, batch):
+    config = desk(ssf_scheme=scheme, include_f5_p5=f5_p5)
+    params = init_neck_params(config, 1)
+    backbone = synthetic_backbone(16, 64, 64, batch, seed=2)
+    pyramid = {i: Tensor(p.data) for i, p in pyramid_stage(backbone, params, config).items()}
+    want = _level_sum(head_stage(backbone, pyramid, params, config)).item()
+    loss_for = _head_losses(backbone, pyramid, params, config)
+    for route in [(), (0,), (1,), (2,), (0, 1, 2)]:
+        assert loss_for(route)().item() == want, route
 
 
 @pytest.fixture
@@ -228,6 +264,28 @@ def test_end_to_end_catches_a_detached_lateral(detached_f2, scheme, seed):
     # no graph reaches lateral.C2, so its picks run through the full neck
     result = end_to_end_gradcheck(desk(ssf_scheme=scheme), seed=seed)
     assert result.max_rel_error > DEFAULT_THRESHOLD
+
+
+@pytest.fixture(params=list(BRANCH_OF))
+def detached_sce_conv(request, monkeypatch):
+    """The SCE conv running under the module path ``request.param`` returns
+    its output cut from the graph: its layer's analytic gradient is zero."""
+    real = cefpn.neck.conv2d
+
+    def conv2d(x, spec):
+        out = real(x, spec)
+        return Tensor(out.data) if cefpn.tensor._scope == request.param else out
+
+    monkeypatch.setattr(cefpn.neck, "conv2d", conv2d)
+    return request.param
+
+
+def test_end_to_end_catches_a_detached_sce_conv(detached_sce_conv):
+    # no branch graph reaches the layer, so its picks run through the full neck
+    seeds = [seed for seed in range(4) if detached_sce_conv in _picked_layers(desk(), seed)]
+    assert seeds
+    for seed in seeds:
+        assert end_to_end_gradcheck(desk(), seed=seed).max_rel_error > DEFAULT_THRESHOLD, seed
 
 
 def test_end_to_end_catches_a_corrupted_neck_conv(corrupt_neck_conv):

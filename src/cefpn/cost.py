@@ -228,10 +228,40 @@ def variant_report(variant: str, base_channel: int, geometry: tuple[int, int],
     ``baseline``, ``ssf_a``/``ssf_b``/``ssf_c`` and ``cag`` keep F5/P5;
     ``sce`` removes F5/P5 (the adopted configuration).
     """
+    config, modules = _variant(variant, base_channel, attention_reduction)
+    return _report(variant, config, geometry, mac_convention, modules)
+
+
+def _variant(variant: str, base_channel: int,
+             attention_reduction: int) -> tuple[NeckConfig, tuple[str, ...]]:
+    """The neck a row of ``VARIANTS`` is traced from, and the modules it tables."""
     _check_choice("variant", variant, VARIANTS)
     overrides, added = VARIANTS[variant]
     config = NeckConfig(base_channel, attention_reduction=attention_reduction, **overrides)
-    return _report(variant, config, geometry, mac_convention, _BASELINE_MODULES + added)
+    return config, _BASELINE_MODULES + added
+
+
+def ablation_reports(config: NeckConfig, geometry: tuple[int, int],
+                     mac_convention: int = 2) -> list[CostReport]:
+    """``variant_report`` for every row of ``VARIANTS`` at the width and
+    reduction of ``config``, then ``cefpn_report(config)``, tracing each
+    distinct neck once.
+
+    A row's table is the full table of its neck restricted to the row's
+    modules, which keeps each kept row and its order, so every report equals
+    the one its own function gives. Traces are shared within one call only.
+    """
+    full = {config: cefpn_report(config, geometry, mac_convention)}
+    reports = []
+    for variant in VARIANTS:
+        neck, modules = _variant(variant, config.base_channel, config.attention_reduction)
+        if neck not in full:
+            full[neck] = cefpn_report(neck, geometry, mac_convention)
+        table = full[neck]
+        reports.append(CostReport(variant, table.base_channel, table.geometry,
+                                  table.mac_convention,
+                                  tuple(e for e in table.entries if e.module in modules)))
+    return reports + [full[config]]
 
 
 def compare_to_baseline(report: CostReport, baseline: CostReport) -> DeltaSummary:

@@ -1,25 +1,30 @@
 """Central finite-difference verification of every analytic gradient.
 
 The numeric side never touches the backward implementations: it re-runs the
-forward pass with one scalar nudged by +/-h and differences the losses.
+forward pass with scalars nudged by +/-h and differences the losses. A
+weight, a bias or an end-to-end parameter is nudged one scalar per forward.
+An op input that carries the batch axis is nudged in 2 * size copies at
+once: stacked on axis 0, they run as one call of the op, and each copy's
+loss is read from its own slice of the output.
 One analytic forward keeps the graph for ``backward``; for the numeric
 forwards every checked leaf has ``requires_grad`` switched off (and restored
 afterwards), so they record no graph and keep nothing for a backward pass.
-Their values are bit for bit those of the graph forward. The end-to-end
-check is one such check per route: parameters no head graph reaches through
-the full neck, and head parameters through the head alone over a fixed,
-detached pyramid, re-running only the SCE branch that reads them (none for
-an attention parameter). A non-finite gradient on any route makes the error
-non-finite, which fails.
+Their values, stacked or not, are bit for bit those of the graph forward.
+Every check takes the worst relative error over all its coordinates in one
+array expression, ``_max_error``. The end-to-end check is one such check
+per route: parameters no head graph reaches through the full neck, and head
+parameters through the head alone over a fixed, detached pyramid, re-running
+only the SCE branch that reads them (none for an attention parameter). A
+non-finite gradient on any route makes the error non-finite, which fails.
 Double precision is required; with h = ``DEFAULT_STEP`` = 1e-6 the
 truncation and roundoff floors sit far below the 1e-4 acceptance threshold.
 """
 
 from __future__ import annotations
 
-import math
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -30,7 +35,7 @@ from .neck import BackbonePyramid, NeckConfig, NeckParams, PyramidOutputs, _add_
     head_stage, init_neck_params, pixel_shuffle, pixel_unshuffle, pyramid_stage
 from .ops import ConvSpec, LinearSpec, conv2d, global_avg_pool, global_max_pool, \
     interpolate_nearest, linear, max_pool2d
-from .tensor import GradTape, Tensor, add, backward, broadcast_spatial, channel_slice, \
+from .tensor import GradTape, Tensor, _wrap, add, backward, broadcast_spatial, channel_slice, \
     mul, mul_channelwise, relu, scale, sigmoid, squeeze_spatial, sum_all
 
 DEFAULT_STEP = 1e-6
@@ -46,15 +51,14 @@ _REL_FLOOR = 1e-6
 _NOISE_FLOOR_COEFF = 1e-4
 
 
-def relative_error(analytic: float, numeric: float, floor: float) -> float:
-    """NaN when either side is non-finite (inf / inf included)."""
-    return abs(analytic - numeric) / max(abs(analytic), abs(numeric), floor)
-
-
-def _worse(a: float, b: float) -> float:
-    """The larger of two errors, where NaN counts as larger than any number.
-    (``max`` keeps its first argument against a NaN.)"""
-    return b if b > a or math.isnan(b) else a
+def _max_error(analytic: np.ndarray, numeric: np.ndarray, floor: float) -> float:
+    """The largest relative error |a - n| / max(|a|, |n|, floor) over all
+    coordinates; NaN when either side is non-finite at any (inf / inf
+    included). numpy warns on ``inf - inf`` where Python floats do not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.abs(analytic - numeric) / np.maximum(
+            np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+        return float(err.max(initial=0.0))
 
 
 def central_difference(loss_fn: Callable[[], float], leaf: Tensor, flat_index: int) -> float:
@@ -87,6 +91,13 @@ def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
     each leaf's flag is restored on return, also when ``loss_fn`` raises.
     A non-finite analytic or numeric value at any pick makes the result NaN.
     """
+    return _max_error(*_picked_gradients(loss_fn, leaves, picks))
+
+
+def _picked_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
+                      picks: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, float]:
+    """The analytic and the numeric gradient at each pick of
+    ``check_loss_gradients``, and the floor of their relative error."""
     for leaf in leaves:
         if leaf.dtype != np.float64:
             raise ConfigError("gradient checking requires float64 tensors")
@@ -99,20 +110,55 @@ def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
     bounds = np.cumsum([0] + sizes)
     which = np.searchsorted(bounds, picks, side="right") - 1  # each pick's leaf
     offsets = np.asarray(picks) - bounds[which]
-    worst = 0.0
+    coords = [(leaves[k], idx) for k, idx in zip(which.tolist(), offsets.tolist())]
+    analytic = np.array([0.0 if leaf.grad is None else leaf.grad.flat[idx]
+                         for leaf, idx in coords])
+    with _graph_free(leaves):
+        numeric = np.array([central_difference(lambda: loss_fn().item(), leaf, idx)
+                            for leaf, idx in coords])
+    return analytic, numeric, floor
+
+
+@contextmanager
+def _graph_free(leaves: list[Tensor]):
+    """Switch off every leaf's ``requires_grad``, so forwards over them
+    record no graph; each leaf's own flag is restored on exit."""
     flags = [leaf.requires_grad for leaf in leaves]
     for leaf in leaves:
         leaf.requires_grad = False
     try:
-        for k, idx in zip(which.tolist(), offsets.tolist()):
-            leaf = leaves[k]
-            analytic = 0.0 if leaf.grad is None else float(leaf.grad.flat[idx])
-            numeric = central_difference(lambda: loss_fn().item(), leaf, idx)
-            worst = _worse(worst, relative_error(analytic, numeric, floor))
+        yield
     finally:
         for leaf, flag in zip(leaves, flags):
             leaf.requires_grad = flag
-    return worst
+
+
+def _stacked_central_differences(out_fn: Callable[..., Tensor], inputs: list[Tensor], k: int,
+                                 probe: Tensor) -> np.ndarray:
+    """d sum(out_fn(*inputs) * probe) / d inputs[k] at every coordinate of
+    ``inputs[k]``, from one call of ``out_fn``.
+
+    Every input carries the batch axis. Copy 2j of ``inputs[k]`` has its
+    coordinate j nudged by +h and copy 2j + 1 by -h. The copies are stacked
+    on axis 0, every other input is repeated once per copy, and each copy's
+    loss is the sum of its own slice of ``out * probe``. The op must run
+    each copy through the code of an unstacked call, so that every value is
+    bit for bit that of ``central_difference``. Call it with every leaf's
+    ``requires_grad`` off.
+    """
+    x = inputs[k].data
+    m = 2 * x.size
+    copies = np.repeat(x.reshape(1, -1), m, axis=0)
+    j = np.arange(x.size)
+    copies[2 * j, j] += DEFAULT_STEP
+    copies[2 * j + 1, j] -= DEFAULT_STEP
+    args = [_wrap(copies.reshape((m * x.shape[0],) + x.shape[1:])) if i == k
+            else _wrap(np.tile(t.data, (m,) + (1,) * (t.data.ndim - 1)))
+            for i, t in enumerate(inputs)]
+    out = out_fn(*args).data.reshape((m,) + probe.shape)
+    losses = (out * probe.data).reshape(m, -1).sum(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (losses[0::2] - losses[1::2]) / (2.0 * DEFAULT_STEP)
 
 
 def _distinct(rng: np.random.Generator, shape: tuple[int, ...]) -> Tensor:
@@ -133,75 +179,98 @@ def op_gradient_suite(seed: int = 0) -> dict[str, float]:
 
     Returns the worst relative error per op name. Losses project outputs
     against a fixed random probe so transposition mistakes cannot cancel.
+    An input that carries the batch axis gets every coordinate's central
+    difference from one call of the op over all its nudged copies
+    (``_stacked_central_differences``); weights, biases and the two inputs
+    whose stacked call would not run the code of an unstacked one are
+    nudged one coordinate at a time (``check_loss_gradients``). Both give
+    the same bits.
     """
     rng = np.random.default_rng(seed)
     results: dict[str, float] = {}
 
-    def run(name: str, leaves: list[Tensor], out_fn: Callable[[], Tensor]) -> None:
-        probe = _probe(rng, out_fn().shape)
-        results[name] = check_loss_gradients(lambda: sum_all(mul(out_fn(), probe)), leaves)
+    def run(name: str, out_fn: Callable[..., Tensor], stacked: list[Tensor],
+            leaves: Sequence[Tensor] = ()) -> None:
+        """Check ``out_fn(*stacked)``: the ``stacked`` inputs by stacked
+        copies, the ``leaves`` it reads one coordinate at a time."""
+        probe = _probe(rng, out_fn(*stacked).shape)
+        checked = [*stacked, *leaves]
+        first = sum(t.size for t in stacked)
+        # The analytic backward also fills every stacked input's gradient.
+        analytic, numeric, floor = _picked_gradients(
+            lambda: sum_all(mul(out_fn(*stacked), probe)), checked,
+            np.arange(first, sum(t.size for t in checked)))
+        with _graph_free(checked):
+            numerics = [_stacked_central_differences(out_fn, stacked, k, probe)
+                        for k in range(len(stacked))]
+        grads = [np.zeros(x.size) if x.grad is None else x.grad.ravel() for x in stacked]
+        results[name] = _max_error(np.concatenate([*grads, analytic]),
+                                   np.concatenate([*numerics, numeric]), floor)
 
     x = _distinct(rng, (1, 3, 5, 5))
     spec1 = ConvSpec.seeded(rng, 3, 4, 1)
-    run("conv2d_1x1", [x, spec1.weight, spec1.bias], lambda: conv2d(x, spec1))
+    run("conv2d_1x1", lambda x: conv2d(x, spec1), [x], [spec1.weight, spec1.bias])
 
     x2 = _distinct(rng, (1, 3, 6, 6))
     spec3 = ConvSpec.seeded(rng, 3, 2, 3)
-    run("conv2d_3x3", [x2, spec3.weight, spec3.bias], lambda: conv2d(x2, spec3))
+    run("conv2d_3x3", lambda x: conv2d(x, spec3), [x2], [spec3.weight, spec3.bias])
 
-    # o >= n*h*w: the im2col path, which sce.local_3x3 takes
+    # o >= n*h*w: the im2col path, which sce.local_3x3 takes. Stacked copies
+    # would raise n*h*w past o and take the shifted path instead.
     x3 = _distinct(rng, (1, 3, 2, 2))
     spec3i = ConvSpec.seeded(rng, 3, 4, 3)
-    run("conv2d_3x3_im2col", [x3, spec3i.weight, spec3i.bias], lambda: conv2d(x3, spec3i))
+    run("conv2d_3x3_im2col", lambda: conv2d(x3, spec3i), [], [x3, spec3i.weight, spec3i.bias])
 
     xp = _distinct(rng, (1, 2, 6, 6))
-    run("max_pool2d", [xp], lambda: max_pool2d(xp, 3, 2, 1))
+    run("max_pool2d", lambda x: max_pool2d(x, 3, 2, 1), [xp])
 
     xg = _distinct(rng, (1, 4, 4, 4))
-    run("global_avg_pool", [xg], lambda: global_avg_pool(xg))
-    run("global_max_pool", [xg], lambda: global_max_pool(xg))
+    run("global_avg_pool", global_avg_pool, [xg])
+    run("global_max_pool", global_max_pool, [xg])
 
     xi = _distinct(rng, (1, 2, 3, 3))
-    run("interpolate_nearest", [xi], lambda: interpolate_nearest(xi, 2))
+    run("interpolate_nearest", lambda x: interpolate_nearest(x, 2), [xi])
 
     xv = _distinct(rng, (2, 6))
     lin = LinearSpec.seeded(rng, 6, 4)
-    run("linear", [xv, lin.weight, lin.bias], lambda: linear(xv, lin))
+    run("linear", lambda x: linear(x, lin), [xv], [lin.weight, lin.bias])
 
     xs = _distinct(rng, (1, 2, 4, 4))
-    run("sigmoid", [xs], lambda: sigmoid(xs))
-    run("relu", [xs], lambda: relu(xs))
+    run("sigmoid", sigmoid, [xs])
+    run("relu", relu, [xs])
 
     xa = _distinct(rng, (1, 2, 3, 3))
     xb = _distinct(rng, (1, 2, 3, 3))
-    run("add", [xa, xb], lambda: add(xa, xb))
-    run("mul", [xa, xb], lambda: mul(xa, xb))
+    run("add", add, [xa, xb])
+    run("mul", mul, [xa, xb])
 
     w = _distinct(rng, (1, 2))
-    run("mul_channelwise", [xa, w], lambda: mul_channelwise(xa, w))
-    run("scale", [xa], lambda: scale(xa, 0.773))
+    run("mul_channelwise", mul_channelwise, [xa, w])
+    run("scale", lambda x: scale(x, 0.773), [xa])
 
     xps = _distinct(rng, (1, 8, 2, 2))
-    run("pixel_shuffle", [xps], lambda: pixel_shuffle(xps, 2))
+    run("pixel_shuffle", lambda x: pixel_shuffle(x, 2), [xps])
     xpu = _distinct(rng, (1, 2, 4, 4))
-    run("pixel_unshuffle", [xpu], lambda: pixel_unshuffle(xpu, 2))
+    run("pixel_unshuffle", lambda x: pixel_unshuffle(x, 2), [xpu])
 
     xc = _distinct(rng, (1, 6, 3, 3))
-    run("channel_slice", [xc], lambda: channel_slice(xc, 1, 4))
+    run("channel_slice", lambda x: channel_slice(x, 1, 4), [xc])
     xbr = _distinct(rng, (1, 3, 1, 1))
-    run("broadcast_spatial", [xbr], lambda: broadcast_spatial(xbr, 3, 4))
-    run("squeeze_spatial", [xbr], lambda: squeeze_spatial(xbr))
+    run("broadcast_spatial", lambda x: broadcast_spatial(x, 3, 4), [xbr])
+    run("squeeze_spatial", squeeze_spatial, [xbr])
 
     xsum = _distinct(rng, (1, 2, 3, 3))
     results["sum_all"] = check_loss_gradients(lambda: sum_all(xsum), [xsum])
 
     # A lone fully connected layer is exactly linear, so central differences
     # are exact up to roundoff. It draws from a fresh generator of the same
-    # seed, which ``run`` reads for its probe.
+    # seed, which ``run`` reads for its probe. Its one-row input is nudged
+    # one coordinate at a time: stacked rows would turn the one-row product
+    # into a matrix product, whose sums differ in the last bit.
     rng = np.random.default_rng(seed)
     xe = Tensor(rng.uniform(-1, 1, size=(1, 8)), requires_grad=True)
     exact = LinearSpec.seeded(rng, 8, 5)
-    run("linear_exact", [xe, exact.weight, exact.bias], lambda: linear(xe, exact))
+    run("linear_exact", lambda: linear(xe, exact), [], [xe, exact.weight, exact.bias])
     return results
 
 
@@ -285,10 +354,10 @@ def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
                    if id(t) in head_ids else None for t in leaves]
     routes = [None] + sorted({r for r in leaf_routes if r is not None})
     pick_route = np.repeat([routes.index(r) for r in leaf_routes], [t.size for t in leaves])[picks]
-    worst = check_loss_gradients(lambda: _level_sum(cefpn_forward(backbone, params, config)),
-                                 leaves, picks[pick_route == 0])
+    errors = [check_loss_gradients(lambda: _level_sum(cefpn_forward(backbone, params, config)),
+                                   leaves, picks[pick_route == 0])]
     loss_for = _head_losses(backbone, pyramid, params, config)
-    for j in np.unique(pick_route[pick_route > 0]).tolist():
-        worst = _worse(worst, check_loss_gradients(loss_for(routes[j]), leaves,
-                                                   picks[pick_route == j]))
-    return EndToEndResult(worst, len(picks), total)
+    errors += [check_loss_gradients(loss_for(routes[j]), leaves, picks[pick_route == j])
+               for j in np.unique(pick_route[pick_route > 0]).tolist()]
+    # numpy's max is NaN when any error is
+    return EndToEndResult(float(np.max(errors)), len(picks), total)

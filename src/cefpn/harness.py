@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .backbone import PATTERNS, level_shapes, synthetic_backbone
-from .cost import MAC_CONVENTIONS, VARIANTS, cefpn_report, compare_to_baseline, variant_report
+from .cost import MAC_CONVENTIONS, ablation_reports, compare_to_baseline
 from .errors import ConfigError, _check_choice, _check_int
 from .gradcheck import DEFAULT_THRESHOLD, end_to_end_gradcheck, op_gradient_suite
 from .neck import NeckConfig, _check_field_types, cefpn_forward, init_neck_params
@@ -195,14 +195,9 @@ def run_gradcheck(config: RunConfig) -> SuiteReport:
 def run_cost(config: RunConfig) -> SuiteReport:
     """Cost reports for every row of ``VARIANTS`` (the baseline first, then
     each single-mechanism variant) and the full neck, plus deltas against
-    the baseline."""
-    neck = config.neck_config()
-    geometry = (config.height, config.width)
-    mac = config.mac_convention
-    reports = [variant_report(variant, config.base_channel, geometry, mac,
-                              attention_reduction=config.attention_reduction)
-               for variant in VARIANTS]
-    reports.append(cefpn_report(neck, geometry, mac))
+    the baseline. Each distinct neck is traced once per call."""
+    reports = ablation_reports(config.neck_config(), (config.height, config.width),
+                               config.mac_convention)
     deltas = [compare_to_baseline(r, reports[0]) for r in reports[1:]]
     document = {
         "suite": "cost",

@@ -1,6 +1,7 @@
 """Analytic gradients against central finite differences, op by op."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from cefpn import ConfigError, NeckConfig, RunConfig, Tensor, cefpn_forward, init_neck_params, \
     ops, run_gradcheck, synthetic_backbone
 from cefpn.cli import main
-from cefpn.gradcheck import DEFAULT_THRESHOLD, _head_losses, _level_sum, check_loss_gradients, \
-    end_to_end_gradcheck, op_gradient_suite
+from cefpn.gradcheck import DEFAULT_THRESHOLD, _head_losses, _level_sum, central_difference, \
+    check_loss_gradients, end_to_end_gradcheck, op_gradient_suite
 from cefpn.neck import head_stage, pyramid_stage
 from cefpn.tensor import _record, add, mul, relu, sum_all
 import cefpn.gradcheck
@@ -58,6 +59,88 @@ def test_corrupted_gradient_is_caught(corrupt_conv3x3):
     errors = op_gradient_suite(seed=0)
     assert errors["conv2d_3x3"] > DEFAULT_THRESHOLD
     assert errors["conv2d_1x1"] < DEFAULT_THRESHOLD
+
+
+# Each input the per-op suite checks by stacked copies: (row, input shape), in run order.
+STACKED_INPUTS = [
+    ("conv2d_1x1", (1, 3, 5, 5)), ("conv2d_3x3", (1, 3, 6, 6)), ("max_pool2d", (1, 2, 6, 6)),
+    ("global_avg_pool", (1, 4, 4, 4)), ("global_max_pool", (1, 4, 4, 4)),
+    ("interpolate_nearest", (1, 2, 3, 3)), ("linear", (2, 6)), ("sigmoid", (1, 2, 4, 4)),
+    ("relu", (1, 2, 4, 4)), ("add", (1, 2, 3, 3)), ("add", (1, 2, 3, 3)),
+    ("mul", (1, 2, 3, 3)), ("mul", (1, 2, 3, 3)), ("mul_channelwise", (1, 2, 3, 3)),
+    ("mul_channelwise", (1, 2)), ("scale", (1, 2, 3, 3)), ("pixel_shuffle", (1, 8, 2, 2)),
+    ("pixel_unshuffle", (1, 2, 4, 4)), ("channel_slice", (1, 6, 3, 3)),
+    ("broadcast_spatial", (1, 3, 1, 1)), ("squeeze_spatial", (1, 3, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_stacked_differences_equal_one_coordinate_at_a_time(seed, monkeypatch):
+    stacked = cefpn.gradcheck._stacked_central_differences
+    shapes = []
+
+    def counted(out_fn, inputs, k, probe):
+        shapes.append(inputs[k].shape)
+        return stacked(out_fn, inputs, k, probe)
+
+    monkeypatch.setattr(cefpn.gradcheck, "_stacked_central_differences", counted)
+    real = op_gradient_suite(seed)
+    assert shapes == [shape for _row, shape in STACKED_INPUTS]
+
+    def one_at_a_time(out_fn, inputs, k, probe):
+        loss = lambda: sum_all(mul(out_fn(*inputs), probe)).item()
+        return np.array([central_difference(loss, inputs[k], j) for j in range(inputs[k].size)])
+
+    monkeypatch.setattr(cefpn.gradcheck, "_stacked_central_differences", one_at_a_time)
+    assert op_gradient_suite(seed) == real
+
+
+def _corrupt_input_gradient(monkeypatch, name, corrupt, applies=lambda *args: True):
+    """The per-op suite's ``name`` op hands back ``corrupt(gx)`` for the
+    gradient of its first input and its other gradients as they are."""
+    real = getattr(cefpn.gradcheck, name)
+
+    def op(*args):
+        out = real(*args)
+        if out._grad_fn is not None and applies(*args):
+            grad_fn = out._grad_fn
+
+            def corrupted(g):
+                gx, *rest = grad_fn(g)
+                return (corrupt(gx), *rest)
+
+            out._grad_fn = corrupted
+        return out
+
+    monkeypatch.setattr(cefpn.gradcheck, name, op)
+
+
+def test_corrupted_input_gradient_of_a_conv_is_caught(monkeypatch):
+    # the weight and bias picks see a correct gradient: only the stacked check can fail
+    _corrupt_input_gradient(monkeypatch, "conv2d", lambda t: 1.5 * t,
+                            lambda x, spec: spec.kernel == 3)
+    errors = op_gradient_suite(seed=0)
+    assert errors["conv2d_3x3"] > DEFAULT_THRESHOLD
+    assert errors["conv2d_1x1"] < DEFAULT_THRESHOLD
+
+
+def test_corrupted_relu_gradient_is_caught(monkeypatch):
+    _corrupt_input_gradient(monkeypatch, "relu", lambda t: 1.5 * t)
+    errors = op_gradient_suite(seed=0)
+    assert errors["relu"] > DEFAULT_THRESHOLD
+    assert errors["sigmoid"] < DEFAULT_THRESHOLD
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["relu", "conv2d"])
+def test_non_finite_input_gradient_fails_its_row_without_warning(name, bad, monkeypatch):
+    _corrupt_input_gradient(monkeypatch, name, lambda t: np.full_like(t, bad))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        errors = op_gradient_suite(seed=0)
+    row = "relu" if name == "relu" else "conv2d_3x3"
+    assert np.isnan(errors[row])
+    assert errors["sigmoid"] < DEFAULT_THRESHOLD
 
 
 def test_float32_leaves_are_refused():

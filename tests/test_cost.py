@@ -20,11 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cefpn.cost
 import cefpn.neck
 import cefpn.tensor
 from cefpn import ConfigError, ContractError, NeckConfig, cefpn_report, compare_to_baseline, \
     fpn_baseline_report, init_neck_params, scale, variant_report
-from cefpn.cost import KIND_ELEMENTWISE, KIND_MAC
+from cefpn.cost import KIND_ELEMENTWISE, KIND_MAC, VARIANTS, ablation_reports
 
 GEOM = (64, 64)
 
@@ -283,3 +284,29 @@ class TestReportShape:
         for e in report.entries:
             assert e.layer in text
         assert "TOTAL" in text
+
+
+class TestAblationReports:
+    @pytest.mark.parametrize("mac", [1, 2])
+    @pytest.mark.parametrize("config", [
+        desk_config(), desk_config(ssf_scheme="a", include_f5_p5=True),
+        desk_config(ssf_scheme="b"), ref_config(), ref_config(include_f5_p5=True),
+    ])
+    def test_equal_the_reports_traced_one_by_one(self, config, mac):
+        want = [variant_report(v, config.base_channel, GEOM, mac, config.attention_reduction)
+                for v in VARIANTS] + [cefpn_report(config, GEOM, mac)]
+        assert ablation_reports(config, GEOM, mac) == want
+
+    @pytest.mark.parametrize("config, traces", [
+        (desk_config(), 4),  # baseline/ssf_c/cag share one neck, sce the adopted one
+        (desk_config(ssf_scheme="a", include_f5_p5=True), 4),  # the ssf_a neck
+        (desk_config(ssf_scheme="b"), 5),
+    ])
+    def test_trace_each_distinct_neck_once_per_call(self, config, traces, monkeypatch):
+        calls = []
+        real = cefpn.cost.cefpn_forward
+        monkeypatch.setattr(cefpn.cost, "cefpn_forward",
+                            lambda *args: calls.append(None) or real(*args))
+        for expected in (traces, 2 * traces):  # nothing is kept between calls
+            ablation_reports(config, GEOM)
+            assert len(calls) == expected

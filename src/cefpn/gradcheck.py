@@ -1,28 +1,35 @@
 """Central finite-difference verification of every analytic gradient.
 
 The numeric side never touches the backward implementations: it re-runs the
-forward pass with scalars nudged by +/-h and differences the losses. A
-weight, a bias or an end-to-end parameter is nudged one scalar per forward.
-An op input that carries the batch axis is nudged in 2 * size copies at
-once: stacked on axis 0, they run as one call of the op, and each copy's
-loss is read from its own slice of the output.
+forward pass with scalars nudged by +/-h and differences the losses. Each
+nudged copy moves one scalar, but copies that differ only in what the batch
+axis carries share one forward. An op input that carries the batch axis is
+nudged in 2 * size copies at once: stacked on axis 0, they run as one call
+of the op, and each copy's loss is read from its own slice of the output.
+A weight or a bias, which every image shares, is nudged one scalar per
+forward.
 One analytic forward keeps the graph for ``backward``; for the numeric
 forwards every checked leaf has ``requires_grad`` switched off (and restored
 afterwards), so they record no graph and keep nothing for a backward pass.
 Their values, stacked or not, are bit for bit those of the graph forward.
 Every check takes the worst relative error over all its coordinates in one
-array expression, ``_max_error``. The end-to-end check is one such check
-per route: parameters no head graph reaches through the full neck, and head
+array expression, ``_max_error``. The end-to-end check reads every analytic
+value from one backward of the full neck and routes each numeric one:
+parameters no head graph reaches through the full neck, and head
 parameters through the head alone over a fixed, detached pyramid, re-running
-only the SCE branch that reads them (none for an attention parameter). A
-non-finite gradient on any route makes the error non-finite, which fails.
+only the SCE branch that reads them. Each nudged copy of an SCE branch pick
+re-runs its branch alone; then the copies of ``_STACK_PICKS`` picks run the
+rest of the head as one batch, whose ops (``linear`` too) compute every
+image on its own. An attention parameter, which a stack would share, is
+nudged one head run at a time. A non-finite gradient at any pick makes the
+error non-finite, which fails.
 Double precision is required; with h = ``DEFAULT_STEP`` = 1e-6 the
 truncation and roundoff floors sit far below the 1e-4 acceptance threshold.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,6 +48,10 @@ from .tensor import GradTape, Tensor, _wrap, add, backward, broadcast_spatial, c
 DEFAULT_STEP = 1e-6
 DEFAULT_THRESHOLD = 1e-4
 _REL_FLOOR = 1e-6
+# Head picks of one SCE branch per stacked head run in the end-to-end check.
+# Their 2 * 4 nudged copies stay below the peak of the full neck's backward;
+# at 8 picks the check's desk-scale peak rose 29% (tracemalloc, seed 1).
+_STACK_PICKS = 4
 
 # Central differences carry absolute roundoff of roughly ulp(loss) / h
 # (~1e-10 * |loss| at h = DEFAULT_STEP). Gradient components below that
@@ -66,18 +77,27 @@ def central_difference(loss_fn: Callable[[], float], leaf: Tensor, flat_index: i
 
     Temporarily unfreezes the leaf buffer; the perturbation is always undone.
     """
+    with _nudged(leaf, flat_index, DEFAULT_STEP):
+        plus = loss_fn()
+    with _nudged(leaf, flat_index, -DEFAULT_STEP):
+        minus = loss_fn()
+    return (plus - minus) / (2.0 * DEFAULT_STEP)
+
+
+@contextmanager
+def _nudged(leaf: Tensor, flat_index: int, step: float):
+    """``leaf[flat_index]`` moved by ``step`` inside the block (x + (-h) is
+    x - h bit for bit); the value is restored and the buffer frozen again on
+    exit."""
     buf = leaf.data
     buf.flags.writeable = True
     original = buf.flat[flat_index]
     try:
-        buf.flat[flat_index] = original + DEFAULT_STEP
-        plus = loss_fn()
-        buf.flat[flat_index] = original - DEFAULT_STEP
-        minus = loss_fn()
+        buf.flat[flat_index] = original + step
+        yield
     finally:
         buf.flat[flat_index] = original
         buf.flags.writeable = False
-    return (plus - minus) / (2.0 * DEFAULT_STEP)
 
 
 def check_loss_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
@@ -98,6 +118,17 @@ def _picked_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
                       picks: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, float]:
     """The analytic and the numeric gradient at each pick of
     ``check_loss_gradients``, and the floor of their relative error."""
+    analytic, coords, floor = _analytic_at(loss_fn, leaves, picks)
+    with _graph_free(leaves):
+        numeric = np.array([central_difference(lambda: loss_fn().item(), leaf, idx)
+                            for leaf, idx in coords])
+    return analytic, numeric, floor
+
+
+def _analytic_at(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
+                 picks: np.ndarray | None) -> tuple[np.ndarray, list[tuple[Tensor, int]], float]:
+    """One backward of ``loss_fn()``: the analytic gradient at each pick,
+    each pick's (leaf, flat index) and the floor of the relative error."""
     for leaf in leaves:
         if leaf.dtype != np.float64:
             raise ConfigError("gradient checking requires float64 tensors")
@@ -113,10 +144,7 @@ def _picked_gradients(loss_fn: Callable[[], Tensor], leaves: list[Tensor],
     coords = [(leaves[k], idx) for k, idx in zip(which.tolist(), offsets.tolist())]
     analytic = np.array([0.0 if leaf.grad is None else leaf.grad.flat[idx]
                          for leaf, idx in coords])
-    with _graph_free(leaves):
-        numeric = np.array([central_difference(lambda: loss_fn().item(), leaf, idx)
-                            for leaf, idx in coords])
-    return analytic, numeric, floor
+    return analytic, coords, floor
 
 
 @contextmanager
@@ -181,8 +209,8 @@ def op_gradient_suite(seed: int = 0) -> dict[str, float]:
     against a fixed random probe so transposition mistakes cannot cancel.
     An input that carries the batch axis gets every coordinate's central
     difference from one call of the op over all its nudged copies
-    (``_stacked_central_differences``); weights, biases and the two inputs
-    whose stacked call would not run the code of an unstacked one are
+    (``_stacked_central_differences``); weights, biases and the im2col
+    conv's input, whose stacked call would take the shifted path, are
     nudged one coordinate at a time (``check_loss_gradients``). Both give
     the same bits.
     """
@@ -264,13 +292,11 @@ def op_gradient_suite(seed: int = 0) -> dict[str, float]:
 
     # A lone fully connected layer is exactly linear, so central differences
     # are exact up to roundoff. It draws from a fresh generator of the same
-    # seed, which ``run`` reads for its probe. Its one-row input is nudged
-    # one coordinate at a time: stacked rows would turn the one-row product
-    # into a matrix product, whose sums differ in the last bit.
+    # seed, which ``run`` reads for its probe.
     rng = np.random.default_rng(seed)
     xe = Tensor(rng.uniform(-1, 1, size=(1, 8)), requires_grad=True)
     exact = LinearSpec.seeded(rng, 8, 5)
-    run("linear_exact", lambda: linear(xe, exact), [], [xe, exact.weight, exact.bias])
+    run("linear_exact", lambda x: linear(x, exact), [xe], [exact.weight, exact.bias])
     return results
 
 
@@ -293,29 +319,68 @@ def _reached(out: Tensor) -> set[int]:
     return {id(t) for t in GradTape(out).leaves()}
 
 
+def _copy_losses(outs: PyramidOutputs, copies: int) -> np.ndarray:
+    """Each of ``copies`` copies' ``_level_sum``, stacked on the batch axis:
+    its own rows' sums, added in the same order, bit for bit."""
+    r2, r3, r4, r5 = (t.data.reshape(copies, -1).sum(axis=1)
+                      for t in (outs.r2, outs.r3, outs.r4, outs.r5))
+    return r2 + r3 + r4 + r5
+
+
 def _head_losses(backbone: BackbonePyramid, pyramid: dict[int, Tensor], params: NeckParams,
-                 config: NeckConfig) -> Callable[[tuple[int, ...]], Callable[[], Tensor]]:
-    """``loss_for(route)``: a head loss that re-runs only the SCE branches
+                 config: NeckConfig) -> Callable[[tuple[int, ...]], Callable[..., np.ndarray]]:
+    """``loss_for(route)``: head losses that re-run only the SCE branches
     whose indices (0 local, 1 wide, 2 global) are in ``route``.
 
-    The other branch outputs and the pyramid mean are computed here, once,
-    and detached. Every loss is the sum of the same arrays as
-    ``_level_sum(head_stage(backbone, pyramid, params, config))``.
+    The other branch outputs and the pyramid mean are computed here, once.
+    ``loss_for(route)(nudges)`` runs one copy per nudge, a (leaf, flat
+    index, step) triple or None for no nudge (the default is one such copy).
+    Each copy re-runs the route's branches, unbatched, with only its own
+    coordinate moved. The copies' branch outputs are stacked on the batch
+    axis, the cached outputs, the mean and the pyramid are tiled to match,
+    and the rest of the head runs once over the stack. It returns each
+    copy's loss: the sum of the same arrays as ``_level_sum(head_stage(
+    backbone, pyramid, params, config))``, in its order, bit for bit,
+    because every head op computes each image on its own. A nudge must move
+    a branch parameter of ``route``; the rest of the head reads the
+    parameters as they stand.
     """
     c5 = backbone.c5
     branches = (_sce_local, _sce_wide, _sce_global)
-    cached = [Tensor(branch(c5, params).data) for branch in branches]
-    mean = Tensor(_pyramid_mean(pyramid[2], pyramid[3], pyramid[4]).data)
+    cached = [branch(c5, params).data for branch in branches]
+    mean = _pyramid_mean(pyramid[2], pyramid[3], pyramid[4]).data
 
-    def loss_for(route: tuple[int, ...]) -> Callable[[], Tensor]:
-        def loss() -> Tensor:
-            outs = [branch(c5, params) if k in route else cached[k]
-                    for k, branch in enumerate(branches)]
-            context = _sce_sum(*outs)
-            return _level_sum(_attend(_add_context(mean, context), pyramid, params, config))
-        return loss
+    def loss_for(route: tuple[int, ...]) -> Callable[..., np.ndarray]:
+        def outputs(nudge: tuple[Tensor, int, float] | None) -> list[np.ndarray]:
+            with _nudged(*nudge) if nudge else nullcontext():
+                return [branch(c5, params).data if k in route else cached[k]
+                        for k, branch in enumerate(branches)]
+
+        def losses(nudges: Sequence[tuple[Tensor, int, float] | None] = (None,)) -> np.ndarray:
+            copies = [outputs(nudge) for nudge in nudges]
+            m = len(copies)
+            context = _sce_sum(*(_wrap(np.concatenate(outs)) for outs in zip(*copies)))
+            integration = _add_context(_wrap(np.concatenate([mean] * m)), context)
+            tiled = {i: _wrap(np.concatenate([p.data] * m)) for i, p in pyramid.items()}
+            return _copy_losses(_attend(integration, tiled, params, config), m)
+        return losses
 
     return loss_for
+
+
+def _stacked_head_differences(losses: Callable[..., np.ndarray],
+                              coords: list[tuple[Tensor, int]]) -> np.ndarray:
+    """The central difference at each (leaf, flat index) of ``coords``
+    through ``losses``, a ``loss_for(route)`` of ``_head_losses``:
+    ``_STACK_PICKS`` coordinates, so twice as many nudged copies, per
+    stacked head run. Bit for bit those of ``central_difference``."""
+    numeric = []
+    for start in range(0, len(coords), _STACK_PICKS):
+        nudges = [(leaf, idx, step) for leaf, idx in coords[start:start + _STACK_PICKS]
+                  for step in (DEFAULT_STEP, -DEFAULT_STEP)]
+        loss = losses(nudges)
+        numeric.append((loss[0::2] - loss[1::2]) / (2.0 * DEFAULT_STEP))
+    return np.concatenate(numeric)
 
 
 def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
@@ -325,15 +390,21 @@ def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
 
     The forward pass is rebuilt from the same parameter tensors on every
     evaluation, so each perturbation flows through every op it reaches.
-    Picks are routed by graph. ``head_stage`` runs once over the detached
-    pyramid, and each SCE branch once over C5. A pick in a parameter that
-    the head graph reaches is checked through a head that re-runs only the
-    branches whose graphs reach it: none for a ``cag.*`` tensor. The other
-    branch outputs and the pyramid mean come from cache. Every other pick
-    goes through the full neck, so a parameter whose graph edge is lost
-    runs there, where its numeric gradient shows. Each loss is the sum of
-    the same arrays the full head would give, so the error is that of one
-    check over the whole head: the worst over all routes.
+    One backward of the full neck gives every pick's analytic value (a head
+    parameter's bits are those of a head-only backward); its gradients are
+    released before the numeric side runs. Picks are routed by graph.
+    ``head_stage`` runs once over the detached pyramid, and each SCE branch
+    once over C5. A pick in a parameter that the head graph reaches is
+    checked through a head that re-runs only the branches whose graphs
+    reach it, over cached outputs of the other branches and of the pyramid
+    mean. An SCE branch's picks go ``_STACK_PICKS`` at a time: each nudged
+    copy re-runs the branch, unbatched, and the copies run the rest of the
+    head once, stacked on the batch axis (``_stacked_head_differences``).
+    A ``cag.*`` pick re-runs no branch and goes one head run at a time.
+    Every other pick goes through the full neck, so a parameter whose graph
+    edge is lost runs there, where its numeric gradient shows. Each loss is
+    the sum of the same arrays the full head would give, bit for bit, so
+    the error is that of one check over the whole neck.
     """
     params = init_neck_params(config, seed)
     backbone = synthetic_backbone(config.base_channel, height, width, batch,
@@ -354,10 +425,25 @@ def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
                    if id(t) in head_ids else None for t in leaves]
     routes = [None] + sorted({r for r in leaf_routes if r is not None})
     pick_route = np.repeat([routes.index(r) for r in leaf_routes], [t.size for t in leaves])[picks]
-    errors = [check_loss_gradients(lambda: _level_sum(cefpn_forward(backbone, params, config)),
-                                   leaves, picks[pick_route == 0])]
-    loss_for = _head_losses(backbone, pyramid, params, config)
-    errors += [check_loss_gradients(loss_for(routes[j]), leaves, picks[pick_route == j])
-               for j in np.unique(pick_route[pick_route > 0]).tolist()]
-    # numpy's max is NaN when any error is
-    return EndToEndResult(float(np.max(errors)), len(picks), total)
+
+    def full_loss() -> Tensor:
+        return _level_sum(cefpn_forward(backbone, params, config))
+
+    # The gradients are dropped before the stacks run; held, they raised the
+    # check's desk-scale peak by ~40%.
+    analytic, coords, floor = _analytic_at(full_loss, leaves, picks)
+    for leaf in leaves:
+        leaf.grad = None
+    numeric = np.empty(len(picks))
+    with _graph_free(leaves):
+        loss_for = _head_losses(backbone, pyramid, params, config)
+        for j in np.unique(pick_route).tolist():
+            at = np.flatnonzero(pick_route == j)
+            picked = [coords[i] for i in at]
+            if routes[j]:  # a pick in an SCE branch: stacked copies of the head
+                numeric[at] = _stacked_head_differences(loss_for(routes[j]), picked)
+            else:  # the full neck, or the head for a cag.* pick: one pick at a time
+                loss_fn = full_loss if routes[j] is None else loss_for(routes[j])
+                numeric[at] = [central_difference(lambda: loss_fn().item(), leaf, idx)
+                               for leaf, idx in picked]
+    return EndToEndResult(_max_error(analytic, numeric, floor), len(picks), total)

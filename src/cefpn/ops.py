@@ -433,7 +433,13 @@ def interpolate_nearest(x: Tensor, scale: int) -> Tensor:
 
 
 def linear(x: Tensor, spec: LinearSpec) -> Tensor:
-    """y = x Wᵀ + b for a batch of row vectors x of shape (n, in)."""
+    """y = x Wᵀ + b for a batch of row vectors x of shape (n, in).
+
+    Batch-invariant: each row is its own one-row product, so a row's bits do
+    not depend on the rows beside it (``x @ Wᵀ`` at n > 1 is one matrix
+    product, whose sums run in another order). Stacked copies of an input
+    therefore give the bits of separate calls, and n = 1 is unchanged.
+    """
     if x.data.ndim != 2:
         raise ShapeError(f"linear: input must be a batch of vectors (n, in), got shape {x.shape}")
     if x.shape[1] != spec.in_features:
@@ -441,6 +447,6 @@ def linear(x: Tensor, spec: LinearSpec) -> Tensor:
             f"linear: input length {x.shape[1]} but the layer expects {spec.in_features}")
 
     weight, bias = spec.weight, spec.bias
-    out = x.data @ weight.data.T + bias.data
+    out = (x.data[:, None, :] @ weight.data.T)[:, 0, :] + bias.data
     return _record("linear", out, (x, weight, bias),
                    lambda g: (g @ weight.data, g.T @ x.data, g.sum(axis=0)))

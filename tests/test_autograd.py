@@ -71,6 +71,7 @@ STACKED_INPUTS = [
     ("mul_channelwise", (1, 2)), ("scale", (1, 2, 3, 3)), ("pixel_shuffle", (1, 8, 2, 2)),
     ("pixel_unshuffle", (1, 2, 4, 4)), ("channel_slice", (1, 6, 3, 3)),
     ("broadcast_spatial", (1, 3, 1, 1)), ("squeeze_spatial", (1, 3, 1, 1)),
+    ("linear_exact", (1, 8)),
 ]
 
 
@@ -305,13 +306,15 @@ def test_full_forward_runs_only_for_pyramid_picks(f5_p5, seed, cag_picks, monkey
 
         monkeypatch.setattr(cefpn.gradcheck, name, counted)
     end_to_end_gradcheck(config, seed=seed)
-    # a route with picks runs once for the analytic gradient and twice per
-    # pick; each branch also runs once to route and once to fill the cache,
-    # and a cag.* pick re-runs _attend alone
-    runs = {route: 1 + 2 * n if n else 0 for route, n in picks.items()}
+    # the full neck runs once for every analytic gradient and twice per
+    # pyramid pick; each branch runs once to route, once to fill the cache
+    # and once per nudged copy of its picks, whose heads run as one _attend
+    # per stack of picks; a cag.* pick re-runs _attend alone, twice
+    stack = cefpn.gradcheck._STACK_PICKS
+    stacks = sum(-(-picks[b] // stack) for b in BRANCH_OF.values())
     assert calls == {"cefpn_forward": 1 + 2 * picks["pyramid"], "pyramid_stage": 1, "head_stage": 1,
-                     "_attend": sum(n for route, n in runs.items() if route != "pyramid"),
-                     **{b: 2 + runs[b] for b in BRANCH_OF.values()}}
+                     "_attend": 2 * picks["cag"] + stacks,
+                     **{b: 2 + 2 * picks[b] for b in BRANCH_OF.values()}}
 
 
 @pytest.mark.parametrize("batch", [1, 2])
@@ -326,6 +329,48 @@ def test_every_branch_route_sums_the_arrays_of_the_full_head(scheme, f5_p5, batc
     loss_for = _head_losses(backbone, pyramid, params, config)
     for route in [(), (0,), (1,), (2,), (0, 1, 2)]:
         assert loss_for(route)().item() == want, route
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("f5_p5", [False, True])
+@pytest.mark.parametrize("scheme", ["a", "b", "c"])
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_head_differences_equal_one_pick_at_a_time(seed, scheme, f5_p5, batch,
+                                                           monkeypatch):
+    stacked = cefpn.gradcheck._stacked_head_differences
+    checked = []
+
+    def against_one_pick(losses, coords):
+        assert all(leaf.grad is None for leaf, _idx in coords)  # released before the stacks
+        got = stacked(losses, coords)
+        want = np.array([central_difference(lambda: losses().item(), leaf, idx)
+                         for leaf, idx in coords])
+        assert got.tobytes() == want.tobytes()
+        checked.append(len(coords))
+        return got
+
+    monkeypatch.setattr(cefpn.gradcheck, "_stacked_head_differences", against_one_pick)
+    config = desk(ssf_scheme=scheme, include_f5_p5=f5_p5)
+    end_to_end_gradcheck(config, batch=batch, seed=seed)
+    layers = _picked_layers(config, seed)
+    assert sum(checked) == np.isin(layers, list(BRANCH_OF)).sum() > 0
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_no_stacked_head_exceeds_its_stack(batch, monkeypatch):
+    images = []
+    real = cefpn.gradcheck._attend
+
+    def counted(integration, *args):
+        images.append(integration.shape[0])
+        return real(integration, *args)
+
+    monkeypatch.setattr(cefpn.gradcheck, "_attend", counted)
+    end_to_end_gradcheck(desk(), batch=batch, seed=0)
+    # a stack holds 2 nudged copies per pick, each of ``batch`` images; a
+    # cag.* pick runs one copy at a time
+    assert max(images) == 2 * cefpn.gradcheck._STACK_PICKS * batch
+    assert all(n == batch or n % (2 * batch) == 0 for n in images)
 
 
 @pytest.fixture

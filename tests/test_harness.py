@@ -42,9 +42,11 @@ def poison_level(monkeypatch, level, values):
 
 
 # `cefpn --suite forward` stdout at desk scale, stored byte for byte from the
-# graph-free forward suite once stride-1 3x3 convs ran as shifted GEMMs (the
-# re-store moved no level by more than 1e-15 of its largest magnitude in
-# float64, 1e-6 in float32). Any later change must reproduce these bytes.
+# graph-free forward suite once `linear` ran each row as its own one-row
+# product (at batch 2 that re-store moved no level by more than 2.5e-16 of its
+# largest magnitude in float64, 1.2e-7 in float32; the one before it, for
+# shifted 3x3 GEMMs, by no more than 1e-15 and 1e-6). Any later change must
+# reproduce these bytes.
 FORWARD_GOLDEN = json.loads((Path(__file__).parent / "forward_desk_golden.json").read_text())
 
 
@@ -56,8 +58,9 @@ def test_forward_json_is_byte_identical_to_stored(argv, capsys):
 
 # `cefpn --suite gradcheck` stdout at desk scale, stored byte for byte from the
 # per-op suite that checks both 3x3 paths (`conv2d_3x3` shifted,
-# `conv2d_3x3_im2col` im2col). Any later change must reproduce these bytes:
-# same coordinates, same errors.
+# `conv2d_3x3_im2col` im2col), and re-stored once `linear` ran each row as its
+# own one-row product, which moved only `ops.linear` (its input has 2 rows).
+# Any later change must reproduce these bytes: same coordinates, same errors.
 GRADCHECK_GOLDEN = json.loads((Path(__file__).parent / "gradcheck_desk_golden.json").read_text())
 
 

@@ -432,6 +432,21 @@ class TestLinear:
         np.testing.assert_allclose(linear(Tensor(x), spec).data,
                                    linear_loops(x, w, b), atol=1e-12)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.integers(0, 5), st.sampled_from([1, 4, 16, 256]),
+           st.sampled_from([1, 4, 16, 256]))
+    @example(0, 0, 16, 4)
+    def test_rows_are_batch_invariant(self, seed, n, fin, fout):
+        # The end-to-end gradcheck stacks nudged copies of the CAG input on
+        # the batch axis and needs each row's bits as in a one-row call.
+        rng = np.random.default_rng(seed)
+        spec = LinearSpec.seeded(rng, fin, fout)
+        x = rng.uniform(-1, 1, (n, fin))
+        out = linear(Tensor(x), spec).data
+        assert out.shape == (n, fout)
+        for i in range(n):
+            assert out[i].tobytes() == linear(Tensor(x[i:i + 1]), spec).data[0].tobytes(), i
+
     @pytest.mark.parametrize("shape, error", [((1, 4), ConfigError), ((3,), ShapeError)])
     def test_length_mismatch(self, shape, error):
         spec = LinearSpec(3, 2, Tensor(np.zeros((2, 3))), Tensor(np.zeros(2)))

@@ -14,15 +14,17 @@ afterwards), so they record no graph and keep nothing for a backward pass.
 Their values, stacked or not, are bit for bit those of the graph forward.
 Every check takes the worst relative error over all its coordinates in one
 array expression, ``_max_error``. The end-to-end check reads every analytic
-value from one backward of the full neck and routes each numeric one:
-parameters no head graph reaches through the full neck, and head
-parameters through the head alone over a fixed, detached pyramid, re-running
-only the SCE branch that reads them. Each nudged copy of an SCE branch pick
-re-runs its branch alone; then the copies of ``_STACK_PICKS`` picks run the
-rest of the head as one batch, whose ops (``linear`` too) compute every
-image on its own. An attention parameter, which a stack would share, is
-nudged one head run at a time. A non-finite gradient at any pick makes the
-error non-finite, which fails.
+value from one backward of the full neck and routes each numeric one by the
+graph of the stage that reads it: an SCE branch's parameter re-runs that
+branch (the wide one over a cached pooled C5), a post-merge conv's re-runs
+that conv over its cached merged map, and a lateral's or the scheme-a
+reduction's re-runs ``pyramid_stage``. The nudged copies of a stack of such
+picks, within ``_STACK_IMAGES`` images, then run the rest of the head as one
+batch, whose ops (``linear`` too) compute every image on its own. An
+attention parameter, which a stack would share, is nudged one head run at a
+time, and only a parameter that no stage graph reaches goes through the full
+neck. A non-finite gradient at any pick makes the error non-finite, which
+fails.
 Double precision is required; with h = ``DEFAULT_STEP`` = 1e-6 the
 truncation and roundoff floors sit far below the 1e-4 acceptance threshold.
 """
@@ -38,8 +40,9 @@ import numpy as np
 from .backbone import synthetic_backbone
 from .errors import ConfigError
 from .neck import BackbonePyramid, NeckConfig, NeckParams, PyramidOutputs, _add_context, \
-    _attend, _pyramid_mean, _sce_global, _sce_local, _sce_sum, _sce_wide, cefpn_forward, \
-    head_stage, init_neck_params, pixel_shuffle, pixel_unshuffle, pyramid_stage
+    _attend, _fused_laterals, _merge, _post_merge, _pyramid_mean, _sce_global, _sce_local, \
+    _sce_pool, _sce_sum, _sce_wide, cefpn_forward, head_stage, init_neck_params, \
+    pixel_shuffle, pixel_unshuffle, pyramid_stage
 from .ops import ConvSpec, LinearSpec, conv2d, global_avg_pool, global_max_pool, \
     interpolate_nearest, linear, max_pool2d
 from .tensor import GradTape, Tensor, _wrap, add, backward, broadcast_spatial, channel_slice, \
@@ -48,10 +51,12 @@ from .tensor import GradTape, Tensor, _wrap, add, backward, broadcast_spatial, c
 DEFAULT_STEP = 1e-6
 DEFAULT_THRESHOLD = 1e-4
 _REL_FLOOR = 1e-6
-# Head picks of one SCE branch per stacked head run in the end-to-end check.
-# Their 2 * 4 nudged copies stay below the peak of the full neck's backward;
-# at 8 picks the check's desk-scale peak rose 29% (tracemalloc, seed 1).
-_STACK_PICKS = 4
+# Images per stacked head run in the end-to-end check: a pick's two nudged
+# copies of ``batch`` images each, as many picks as fit, at least one. At
+# desk scale the stacks then peak below the full neck's backward at batch 1
+# and 2; at 16 images (seed 1, batch 1) the check's peak rose 29%
+# (tracemalloc).
+_STACK_IMAGES = 8
 
 # Central differences carry absolute roundoff of roughly ulp(loss) / h
 # (~1e-10 * |loss| at h = DEFAULT_STEP). Gradient components below that
@@ -314,9 +319,9 @@ def _level_sum(outs: PyramidOutputs) -> Tensor:
     return loss
 
 
-def _reached(out: Tensor) -> set[int]:
-    """Ids of the leaves of ``out``'s graph; the graph dies on return."""
-    return {id(t) for t in GradTape(out).leaves()}
+def _reached(*outs: Tensor) -> set[int]:
+    """Ids of the leaves of the graphs of ``outs``; the graphs die on return."""
+    return {id(t) for out in outs for t in GradTape(out).leaves()}
 
 
 def _copy_losses(outs: PyramidOutputs, copies: int) -> np.ndarray:
@@ -327,60 +332,112 @@ def _copy_losses(outs: PyramidOutputs, copies: int) -> np.ndarray:
     return r2 + r3 + r4 + r5
 
 
-def _head_losses(backbone: BackbonePyramid, pyramid: dict[int, Tensor], params: NeckParams,
-                 config: NeckConfig) -> Callable[[tuple[int, ...]], Callable[..., np.ndarray]]:
-    """``loss_for(route)``: head losses that re-run only the SCE branches
-    whose indices (0 local, 1 wide, 2 global) are in ``route``.
+def _route_losses(backbone: BackbonePyramid, pyramid: dict[int, Tensor], params: NeckParams,
+                  config: NeckConfig) -> Callable[[tuple[str, ...]], Callable[..., np.ndarray]]:
+    """``loss_for(route)``: neck losses that re-run only the stages whose
+    keys are in ``route``.
 
-    The other branch outputs and the pyramid mean are computed here, once.
+    A stage key names what one pick can re-run alone: ``local``, ``wide``
+    and ``global``, an SCE branch (the wide one over C5 pooled here, once);
+    ``P2``..``P5``, one level's post-merge conv over its merged map
+    (computed here, once); ``pyramid``, all of ``pyramid_stage``, whose
+    levels win over a post-merge key's. The other branch outputs, pyramid
+    levels and the pyramid mean are computed here, once.
     ``loss_for(route)(nudges)`` runs one copy per nudge, a (leaf, flat
     index, step) triple or None for no nudge (the default is one such copy).
-    Each copy re-runs the route's branches, unbatched, with only its own
-    coordinate moved. The copies' branch outputs are stacked on the batch
-    axis, the cached outputs, the mean and the pyramid are tiled to match,
-    and the rest of the head runs once over the stack. It returns each
-    copy's loss: the sum of the same arrays as ``_level_sum(head_stage(
-    backbone, pyramid, params, config))``, in its order, bit for bit,
-    because every head op computes each image on its own. A nudge must move
-    a branch parameter of ``route``; the rest of the head reads the
-    parameters as they stand.
+    Each copy re-runs the route's stages, unbatched, with only its own
+    coordinate moved, and writes each output straight into its rows of one
+    stacked array per output. The cached outputs are tiled to match, the
+    pyramid mean is recomputed over the stacked levels when a level it
+    reads moved, and the rest of the head runs once over the stack. It
+    returns each copy's loss: the sum of the same arrays as
+    ``_level_sum(cefpn_forward(backbone, params, config))``, in its order,
+    bit for bit, because every head op computes each image on its own. A
+    nudge must move a parameter that only the route's stages read.
     """
     c5 = backbone.c5
-    branches = (_sce_local, _sce_wide, _sce_global)
-    cached = [branch(c5, params).data for branch in branches]
+    pooled = _sce_pool(c5)
+    merged = _merge(_fused_laterals(backbone, params, config))
+    stages = {"local": lambda: {"local": _sce_local(c5, params)},
+              "wide": lambda: {"wide": _sce_wide(pooled, params)},
+              "global": lambda: {"global": _sce_global(c5, params)}}
+    stages.update((f"P{i}", lambda f={i: f}: _post_merge(f, params)) for i, f in merged.items())
+    stages["pyramid"] = lambda: pyramid_stage(backbone, params, config)
+    cached = {k: t.data for key in ("local", "wide", "global") for k, t in stages[key]().items()}
+    cached.update((i, p.data) for i, p in pyramid.items())
     mean = _pyramid_mean(pyramid[2], pyramid[3], pyramid[4]).data
 
-    def loss_for(route: tuple[int, ...]) -> Callable[..., np.ndarray]:
-        def outputs(nudge: tuple[Tensor, int, float] | None) -> list[np.ndarray]:
-            with _nudged(*nudge) if nudge else nullcontext():
-                return [branch(c5, params).data if k in route else cached[k]
-                        for k, branch in enumerate(branches)]
-
+    def loss_for(route: tuple[str, ...]) -> Callable[..., np.ndarray]:
         def losses(nudges: Sequence[tuple[Tensor, int, float] | None] = (None,)) -> np.ndarray:
-            copies = [outputs(nudge) for nudge in nudges]
-            m = len(copies)
-            context = _sce_sum(*(_wrap(np.concatenate(outs)) for outs in zip(*copies)))
-            integration = _add_context(_wrap(np.concatenate([mean] * m)), context)
-            tiled = {i: _wrap(np.concatenate([p.data] * m)) for i, p in pyramid.items()}
-            return _copy_losses(_attend(integration, tiled, params, config), m)
+            m = len(nudges)
+            stacked: dict[int | str, np.ndarray] = {}
+            for j, nudge in enumerate(nudges):
+                with _nudged(*nudge) if nudge else nullcontext():
+                    outs = {k: t.data for key in route for k, t in stages[key]().items()}
+                for k, a in outs.items():
+                    if k not in stacked:
+                        stacked[k] = np.empty((m * len(a),) + a.shape[1:], dtype=a.dtype)
+                    stacked[k][j * len(a):(j + 1) * len(a)] = a
+            del outs
+            moved = set(stacked)
+            for k, a in cached.items():
+                if k not in moved:
+                    stacked[k] = np.concatenate([a] * m)
+            levels = {i: _wrap(stacked[i]) for i in pyramid}
+            context = _sce_sum(*(_wrap(stacked[k]) for k in ("local", "wide", "global")))
+            if moved & {2, 3, 4}:
+                pyramid_mean = _pyramid_mean(levels[2], levels[3], levels[4])
+            else:
+                pyramid_mean = _wrap(np.concatenate([mean] * m))
+            integration = _add_context(pyramid_mean, context)
+            return _copy_losses(_attend(integration, levels, params, config), m)
         return losses
 
     return loss_for
 
 
 def _stacked_head_differences(losses: Callable[..., np.ndarray],
-                              coords: list[tuple[Tensor, int]]) -> np.ndarray:
+                              coords: list[tuple[Tensor, int]], batch: int) -> np.ndarray:
     """The central difference at each (leaf, flat index) of ``coords``
-    through ``losses``, a ``loss_for(route)`` of ``_head_losses``:
-    ``_STACK_PICKS`` coordinates, so twice as many nudged copies, per
-    stacked head run. Bit for bit those of ``central_difference``."""
+    through ``losses``, a ``loss_for(route)`` of ``_route_losses`` over
+    ``batch`` images: as many coordinates per stacked head run as keep its
+    nudged copies (two per coordinate) within ``_STACK_IMAGES`` images, and
+    at least one. Bit for bit those of ``central_difference``."""
+    per_stack = max(1, _STACK_IMAGES // (2 * batch))
     numeric = []
-    for start in range(0, len(coords), _STACK_PICKS):
-        nudges = [(leaf, idx, step) for leaf, idx in coords[start:start + _STACK_PICKS]
+    for start in range(0, len(coords), per_stack):
+        nudges = [(leaf, idx, step) for leaf, idx in coords[start:start + per_stack]
                   for step in (DEFAULT_STEP, -DEFAULT_STEP)]
         loss = losses(nudges)
         numeric.append((loss[0::2] - loss[1::2]) / (2.0 * DEFAULT_STEP))
     return np.concatenate(numeric)
+
+
+def _leaf_routes(backbone: BackbonePyramid, params: NeckParams, config: NeckConfig,
+                 leaves: list[Tensor]) -> tuple[dict[int, Tensor], list[tuple[str, ...] | None]]:
+    """The detached pyramid, and each leaf's route for ``_route_losses``:
+    the keys of the stages whose graphs reach it. The stage graphs are each
+    SCE branch's, each level's post-merge conv's over its detached merged
+    map, and (``pyramid``) the laterals, skip fusion and merge before them.
+    A leaf no stage graph reaches gets () when the head's graph over the
+    detached pyramid reaches it (``cag.*``: only the tail reads it), else
+    None: the full neck. Routing keeps only ids, so every graph dies here.
+    """
+    c5 = backbone.c5
+    stage_ids = {"local": _reached(_sce_local(c5, params)),
+                 "wide": _reached(_sce_wide(_sce_pool(c5), params)),
+                 "global": _reached(_sce_global(c5, params))}
+    merged = _merge(_fused_laterals(backbone, params, config))
+    post = _post_merge({i: Tensor(f.data) for i, f in merged.items()}, params)
+    stage_ids.update((f"P{i}", _reached(p)) for i, p in post.items())
+    stage_ids["pyramid"] = _reached(*merged.values())  # last: its levels win
+    pyramid = {i: Tensor(p.data) for i, p in post.items()}
+    head_ids = _reached(_level_sum(head_stage(backbone, pyramid, params, config)))
+    routes = []
+    for t in leaves:
+        route = tuple(key for key, ids in stage_ids.items() if id(t) in ids)
+        routes.append(route if route or id(t) in head_ids else None)
+    return pyramid, routes
 
 
 def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
@@ -390,21 +447,22 @@ def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
 
     The forward pass is rebuilt from the same parameter tensors on every
     evaluation, so each perturbation flows through every op it reaches.
-    One backward of the full neck gives every pick's analytic value (a head
-    parameter's bits are those of a head-only backward); its gradients are
-    released before the numeric side runs. Picks are routed by graph.
-    ``head_stage`` runs once over the detached pyramid, and each SCE branch
-    once over C5. A pick in a parameter that the head graph reaches is
-    checked through a head that re-runs only the branches whose graphs
-    reach it, over cached outputs of the other branches and of the pyramid
-    mean. An SCE branch's picks go ``_STACK_PICKS`` at a time: each nudged
-    copy re-runs the branch, unbatched, and the copies run the rest of the
-    head once, stacked on the batch axis (``_stacked_head_differences``).
-    A ``cag.*`` pick re-runs no branch and goes one head run at a time.
-    Every other pick goes through the full neck, so a parameter whose graph
-    edge is lost runs there, where its numeric gradient shows. Each loss is
-    the sum of the same arrays the full head would give, bit for bit, so
-    the error is that of one check over the whole neck.
+    One backward of the full neck gives every pick's analytic value; its
+    gradients are released before the numeric side runs. Each pick is
+    routed by the graph of the stage that reads it (``_leaf_routes``) and
+    re-runs only that stage over cached inputs: an SCE branch (the wide one
+    over the pooled C5), one level's post-merge conv over its merged map,
+    or, for a lateral or ``ssf.reduce_C5`` pick, ``pyramid_stage``. Such
+    picks go as many at a time as keep a stack within ``_STACK_IMAGES``
+    images: each nudged copy re-runs its stage, unbatched, and the copies
+    run the rest of the head once, stacked on the batch axis
+    (``_stacked_head_differences``). A ``cag.*`` pick re-runs no stage and
+    goes one head run at a time. A pick in a parameter that no stage graph
+    reaches goes through the full neck, so a parameter whose graph edge is
+    lost runs there, where its numeric gradient shows; in a correct neck
+    ``cefpn_forward`` runs once, for the analytic values. Each loss is the
+    sum of the same arrays the full neck would give, bit for bit, so the
+    error is that of one check over the whole neck.
     """
     params = init_neck_params(config, seed)
     backbone = synthetic_backbone(config.base_channel, height, width, batch,
@@ -415,14 +473,7 @@ def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
         picks = np.arange(total)
     else:
         picks = np.sort(np.random.default_rng(seed + 2).choice(total, samples, replace=False))
-    pyramid = {i: Tensor(p.data) for i, p in pyramid_stage(backbone, params, config).items()}
-    # Route on ids alone, so each routing graph dies before the checks run.
-    head_ids = _reached(_level_sum(head_stage(backbone, pyramid, params, config)))
-    branch_ids = [_reached(branch(backbone.c5, params))
-                  for branch in (_sce_local, _sce_wide, _sce_global)]
-    # each leaf's route: None for the full neck, else the branches that read it
-    leaf_routes = [tuple(k for k, ids in enumerate(branch_ids) if id(t) in ids)
-                   if id(t) in head_ids else None for t in leaves]
+    pyramid, leaf_routes = _leaf_routes(backbone, params, config, leaves)
     routes = [None] + sorted({r for r in leaf_routes if r is not None})
     pick_route = np.repeat([routes.index(r) for r in leaf_routes], [t.size for t in leaves])[picks]
 
@@ -436,12 +487,12 @@ def end_to_end_gradcheck(config: NeckConfig, height: int = 64, width: int = 64,
         leaf.grad = None
     numeric = np.empty(len(picks))
     with _graph_free(leaves):
-        loss_for = _head_losses(backbone, pyramid, params, config)
+        loss_for = _route_losses(backbone, pyramid, params, config)
         for j in np.unique(pick_route).tolist():
             at = np.flatnonzero(pick_route == j)
             picked = [coords[i] for i in at]
-            if routes[j]:  # a pick in an SCE branch: stacked copies of the head
-                numeric[at] = _stacked_head_differences(loss_for(routes[j]), picked)
+            if routes[j]:  # a pick some stage reads: stacked copies of the head
+                numeric[at] = _stacked_head_differences(loss_for(routes[j]), picked, batch)
             else:  # the full neck, or the head for a cag.* pick: one pick at a time
                 loss_fn = full_loss if routes[j] is None else loss_for(routes[j])
                 numeric[at] = [central_difference(lambda: loss_fn().item(), leaf, idx)

@@ -291,18 +291,22 @@ def ssf_fuse(c_hi: Tensor, f_lo: Tensor, scheme: str, params: NeckParams) -> Ten
 
 def top_down_merge(features: dict[int, Tensor], params: NeckParams) -> dict[int, Tensor]:
     """Classic top-down pathway: accumulate by 2x nearest upsampling and
-    elementwise sum from the top level down, then a 3x3 convolution per
-    level, finest first.
+    elementwise sum from the top level down (``_merge``), then a 3x3
+    convolution per level, finest first (``_post_merge``). The gradient
+    check re-runs one post-merge conv over a cached merged map.
 
     ``features`` is consumed: each lateral is popped as it is merged, so
     without a graph it is freed before the post-merge convs run.
     """
+    return _post_merge(_merge(features), params)
+
+
+def _merge(features: dict[int, Tensor]) -> dict[int, Tensor]:
     if not features:
         raise ShapeError("top_down_merge: no levels given")
-    levels = sorted(features, reverse=True)
     merged: dict[int, Tensor] = {}
     prev: int | None = None
-    for i in levels:
+    for i in sorted(features, reverse=True):
         f = features.pop(i)
         if prev is None:
             merged[i] = f
@@ -312,9 +316,12 @@ def top_down_merge(features: dict[int, Tensor], params: NeckParams) -> dict[int,
             with scope(f"top_down.add_F{i}"):
                 merged[i] = add(f, up)
         prev = i
-    f = up = None
+    return merged
+
+
+def _post_merge(merged: dict[int, Tensor], params: NeckParams) -> dict[int, Tensor]:
     outputs: dict[int, Tensor] = {}
-    for i in reversed(levels):
+    for i in sorted(merged):
         with scope(f"post_merge.P{i}"):
             if i not in params.post_convs:
                 raise ConfigError(f"top_down_merge: no 3x3 convolution for level {i}")
@@ -332,12 +339,17 @@ def sce_forward(c5: Tensor, params: NeckParams) -> Tensor:
 
     Each pathway is its own function (``_sce_local``, ``_sce_wide``,
     ``_sce_global``), summed by ``_sce_sum``, so the gradient check can
-    re-run one pathway over fixed outputs of the other two.
+    re-run one pathway over fixed outputs of the other two. The max pool
+    (``_sce_pool``) runs between pathways 1 and 2, and ``_sce_wide`` takes
+    the pooled map, so a check of pathway 2 re-runs its conv and shuffle
+    over a pooled map it computes once.
 
     An odd C5 extent h pools to (h + 1) / 2, so pathway 2 emits 2h + 2
     against 2h and the sum at ``sce.aggregate`` rejects it.
     """
-    return _sce_sum(_sce_local(c5, params), _sce_wide(c5, params), _sce_global(c5, params))
+    local = _sce_local(c5, params)
+    wide = _sce_wide(_sce_pool(c5), params)
+    return _sce_sum(local, wide, _sce_global(c5, params))
 
 
 def _sce_local(c5: Tensor, params: NeckParams) -> Tensor:
@@ -347,9 +359,12 @@ def _sce_local(c5: Tensor, params: NeckParams) -> Tensor:
         return pixel_shuffle(local, 2)
 
 
-def _sce_wide(c5: Tensor, params: NeckParams) -> Tensor:
+def _sce_pool(c5: Tensor) -> Tensor:
     with scope("sce.pool_3x3"):
-        pooled = max_pool2d(c5, kernel=3, stride=2, padding=1)
+        return max_pool2d(c5, kernel=3, stride=2, padding=1)
+
+
+def _sce_wide(pooled: Tensor, params: NeckParams) -> Tensor:
     with scope("sce.wide_1x1"):
         wide = conv2d(pooled, params.sce_wide)
     with scope("sce.wide_shuffle"):
@@ -428,10 +443,16 @@ def cag_apply(pyramid_level: Tensor, weights: Tensor) -> Tensor:
 
 def pyramid_stage(backbone: BackbonePyramid, params: NeckParams,
                   config: NeckConfig) -> dict[int, Tensor]:
-    """Laterals, skip fusion, top-down merge and post-merge convs.
+    """Laterals, skip fusion (``_fused_laterals``), then the top-down merge
+    and post-merge convs (``top_down_merge``).
 
     Returns P2..P4, plus P5 when F5/P5 are kept.
     """
+    return top_down_merge(_fused_laterals(backbone, params, config), params)
+
+
+def _fused_laterals(backbone: BackbonePyramid, params: NeckParams,
+                    config: NeckConfig) -> dict[int, Tensor]:
     feats: dict[int, Tensor] = {}
     for i in config.levels:
         with scope(f"lateral.C{i}"):
@@ -440,7 +461,7 @@ def pyramid_stage(backbone: BackbonePyramid, params: NeckParams,
             feats[i] = conv2d(backbone.level(i), params.laterals[i])
     feats[3] = ssf_fuse(backbone.c4, feats[3], config.ssf_scheme, params)
     feats[4] = ssf_fuse(backbone.c5, feats[4], config.ssf_scheme, params)
-    return top_down_merge(feats, params)
+    return feats
 
 
 def head_stage(backbone: BackbonePyramid, pyramid: dict[int, Tensor], params: NeckParams,

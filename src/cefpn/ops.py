@@ -39,6 +39,9 @@ NEG_INF = -np.inf
 # does, so the values are the same at any chunk size. A draw is split across
 # threads only at chunk boundaries (see ``_draw_uniform``).
 _DRAW_CHUNK = 1 << 16
+# The shifted 3x3 conv's tap products hold at most this many elements, or
+# one image's when that is more (see ``_conv3x3_shifted``).
+_TAP_BLOCK = 1 << 16
 
 
 def _usable_cores() -> int:
@@ -271,9 +274,11 @@ def _conv3x3_shifted(x: Tensor, spec: ConvSpec) -> Tensor:
     row keeps the last tap inside the plane. Positions with ``x >= w`` are
     junk: the forward crops them and the backward lays the upstream gradient
     out with zeros there. The graph keeps the padded input (~1.1x the input)
-    instead of a 9x ``cols``. The forward adds each tap product image by
-    image, so its temp holds one image: these are the per-image GEMMs that
-    a batched ``matmul`` issues, and every sum is the same.
+    instead of a 9x ``cols``. The forward adds each tap product over a
+    block of images per ``matmul`` call, as many as keep the product within
+    ``_TAP_BLOCK`` elements and at least one, so at reference scale its temp
+    holds one image: a batched ``matmul`` issues the per-image GEMMs of
+    separate calls, and every sum is the same.
     """
     n, c, h, w = x.data.shape
     o, wp = spec.out_channels, w + 2
@@ -285,12 +290,15 @@ def _conv3x3_shifted(x: Tensor, spec: ConvSpec) -> Tensor:
     taps = _tap_major(spec.weight.data)
 
     acc = np.matmul(taps[0], xp[:, :, :m])  # (n, o, h*(w+2))
-    prod = np.empty((o, m), dtype=acc.dtype)  # one image's tap product
-    for xi, ai in zip(xp, acc):
+    block = max(1, _TAP_BLOCK // (o * m))
+    pb = prod = np.empty((min(block, n), o, m), dtype=acc.dtype)  # one block's tap product
+    for start in range(0, n, block):
+        xb, ab = xp[start:start + block], acc[start:start + block]
+        pb = prod[:len(xb)]
         for t in range(1, 9):
-            np.matmul(taps[t], xi[:, offsets[t]:offsets[t] + m], out=prod)
-            ai += prod
-    del taps, prod  # freed before the crop copy
+            np.matmul(taps[t], xb[:, :, offsets[t]:offsets[t] + m], out=pb)
+            ab += pb
+    del taps, prod, pb  # freed before the crop copy
     out = acc.reshape(n, o, h, wp)[:, :, :, :w]
     out = out + spec.bias.data.reshape(1, o, 1, 1)
 

@@ -1,7 +1,9 @@
 """Analytic gradients against central finite differences, op by op."""
 
 import json
+import tracemalloc
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ import pytest
 from cefpn import ConfigError, NeckConfig, RunConfig, Tensor, cefpn_forward, init_neck_params, \
     ops, run_gradcheck, synthetic_backbone
 from cefpn.cli import main
-from cefpn.gradcheck import DEFAULT_THRESHOLD, _head_losses, _level_sum, central_difference, \
-    check_loss_gradients, end_to_end_gradcheck, op_gradient_suite
+from cefpn.gradcheck import DEFAULT_THRESHOLD, _level_sum, _nudged, _route_losses, \
+    central_difference, check_loss_gradients, end_to_end_gradcheck, op_gradient_suite
 from cefpn.neck import head_stage, pyramid_stage
 from cefpn.tensor import _record, add, mul, relu, sum_all
 import cefpn.gradcheck
@@ -284,19 +286,26 @@ BRANCH_OF = {"sce.local_3x3": "_sce_local", "sce.wide_1x1": "_sce_wide",
              "sce.squeeze_1x1": "_sce_global"}
 
 
+def _picks_by_route(layers):
+    """How many of the picked ``layers`` go each route: an SCE branch by its
+    function's name, ``P2``..``P5`` for a post-merge conv, ``pyramid`` for a
+    lateral or the scheme-a reduction, and ``cag``."""
+    module = np.array([name.split(".")[0] for name in layers])
+    hits = {b: layers == layer for layer, b in BRANCH_OF.items()}
+    hits.update({f"P{i}": layers == f"post_merge.P{i}" for i in (2, 3, 4, 5)})
+    hits.update(pyramid=np.isin(module, ["lateral", "ssf"]), cag=module == "cag")
+    return {route: int(np.count_nonzero(hit)) for route, hit in hits.items()}
+
+
 @pytest.mark.parametrize("seed, cag_picks", [(1, 0), (3, 1)])  # seed 1: no _sce_global pick
 @pytest.mark.parametrize("f5_p5", [False, True])
 def test_full_forward_runs_only_for_pyramid_picks(f5_p5, seed, cag_picks, monkeypatch):
     config = desk(ssf_scheme="a", include_f5_p5=f5_p5)
-    layers = _picked_layers(config, seed)
-    module = np.array([name.split(".")[0] for name in layers])
-    picks = {"pyramid": np.isin(module, ["lateral", "post_merge", "ssf"]), "cag": module == "cag"}
-    picks.update({b: layers == layer for layer, b in BRANCH_OF.items()})
-    picks = {route: int(np.count_nonzero(hit)) for route, hit in picks.items()}
-    assert sum(picks.values()) == 200 and 0 < picks["pyramid"] < 200
+    picks = _picks_by_route(_picked_layers(config, seed))
+    assert sum(picks.values()) == 200 and picks["pyramid"] > 0 and picks["P2"] > 0
     assert picks["cag"] == cag_picks
-    calls = dict.fromkeys(["cefpn_forward", "pyramid_stage", "head_stage", "_attend",
-                           *BRANCH_OF.values()], 0)
+    calls = dict.fromkeys(["cefpn_forward", "pyramid_stage", "head_stage", "_attend", "_merge",
+                           "_post_merge", "_sce_pool", *BRANCH_OF.values()], 0)
     for name in calls:
         real = getattr(cefpn.gradcheck, name)
 
@@ -306,14 +315,17 @@ def test_full_forward_runs_only_for_pyramid_picks(f5_p5, seed, cag_picks, monkey
 
         monkeypatch.setattr(cefpn.gradcheck, name, counted)
     end_to_end_gradcheck(config, seed=seed)
-    # the full neck runs once for every analytic gradient and twice per
-    # pyramid pick; each branch runs once to route, once to fill the cache
-    # and once per nudged copy of its picks, whose heads run as one _attend
-    # per stack of picks; a cag.* pick re-runs _attend alone, twice
-    stack = cefpn.gradcheck._STACK_PICKS
-    stacks = sum(-(-picks[b] // stack) for b in BRANCH_OF.values())
-    assert calls == {"cefpn_forward": 1 + 2 * picks["pyramid"], "pyramid_stage": 1, "head_stage": 1,
-                     "_attend": 2 * picks["cag"] + stacks,
+    # the full neck runs once, for every analytic gradient; each stage runs
+    # once to route (the post-merge convs together), the merge, the pool and
+    # the branches once more to fill the cache, and each stage once per
+    # nudged copy of its picks, whose heads run as one _attend per stack of
+    # 4 picks; a cag.* pick re-runs _attend alone, twice
+    stack = cefpn.gradcheck._STACK_IMAGES // 2
+    stacked = [*BRANCH_OF.values(), "P2", "P3", "P4", "P5", "pyramid"]
+    post = sum(picks[f"P{i}"] for i in (2, 3, 4, 5))
+    assert calls == {"cefpn_forward": 1, "pyramid_stage": 2 * picks["pyramid"], "head_stage": 1,
+                     "_attend": 2 * picks["cag"] + sum(-(-picks[r] // stack) for r in stacked),
+                     "_merge": 2, "_post_merge": 1 + 2 * post, "_sce_pool": 2,
                      **{b: 2 + 2 * picks[b] for b in BRANCH_OF.values()}}
 
 
@@ -326,9 +338,23 @@ def test_every_branch_route_sums_the_arrays_of_the_full_head(scheme, f5_p5, batc
     backbone = synthetic_backbone(16, 64, 64, batch, seed=2)
     pyramid = {i: Tensor(p.data) for i, p in pyramid_stage(backbone, params, config).items()}
     want = _level_sum(head_stage(backbone, pyramid, params, config)).item()
-    loss_for = _head_losses(backbone, pyramid, params, config)
-    for route in [(), (0,), (1,), (2,), (0, 1, 2)]:
+    assert want == _level_sum(cefpn_forward(backbone, params, config)).item()
+    loss_for = _route_losses(backbone, pyramid, params, config)
+    post = [(f"P{i}",) for i in config.levels]
+    for route in [(), ("local",), ("wide",), ("global",), ("local", "wide", "global"), *post,
+                  ("pyramid",), ("P2", "pyramid"), ("global", "P3")]:
         assert loss_for(route)().item() == want, route
+        assert (loss_for(route)([None] * 3) == want).all(), route  # a stack of unnudged copies
+    # a stack of nudged copies: each loss is the full neck's under its own nudge
+    read_by = {"local": params.sce_local, "wide": params.sce_wide, "global": params.sce_squeeze,
+               "pyramid": params.laterals[2], **{r: params.post_convs[int(r[1])] for r, in post}}
+    for route, spec in read_by.items():
+        nudges = [(spec.weight, 5, 1e-3), None, (spec.bias, 1, -1e-3)]
+        got = loss_for((route,))(nudges)
+        for loss, nudge in zip(got, nudges):
+            with _nudged(*nudge) if nudge else nullcontext():
+                full = _level_sum(cefpn_forward(backbone, params, config)).item()
+            assert loss == full and (loss != want) == (nudge is not None), route
 
 
 @pytest.mark.parametrize("batch", [1, 2])
@@ -340,9 +366,10 @@ def test_stacked_head_differences_equal_one_pick_at_a_time(seed, scheme, f5_p5, 
     stacked = cefpn.gradcheck._stacked_head_differences
     checked = []
 
-    def against_one_pick(losses, coords):
+    def against_one_pick(losses, coords, images):
+        assert images == batch
         assert all(leaf.grad is None for leaf, _idx in coords)  # released before the stacks
-        got = stacked(losses, coords)
+        got = stacked(losses, coords, images)
         want = np.array([central_difference(lambda: losses().item(), leaf, idx)
                          for leaf, idx in coords])
         assert got.tobytes() == want.tobytes()
@@ -352,11 +379,13 @@ def test_stacked_head_differences_equal_one_pick_at_a_time(seed, scheme, f5_p5, 
     monkeypatch.setattr(cefpn.gradcheck, "_stacked_head_differences", against_one_pick)
     config = desk(ssf_scheme=scheme, include_f5_p5=f5_p5)
     end_to_end_gradcheck(config, batch=batch, seed=seed)
-    layers = _picked_layers(config, seed)
-    assert sum(checked) == np.isin(layers, list(BRANCH_OF)).sum() > 0
+    picks = _picks_by_route(_picked_layers(config, seed))
+    # every pick but a cag.* one goes through a stack: the SCE branches, the
+    # post-merge convs and the pyramid stage
+    assert sorted(checked) == sorted(n for route, n in picks.items() if route != "cag" and n)
 
 
-@pytest.mark.parametrize("batch", [1, 2])
+@pytest.mark.parametrize("batch", [1, 2, 3])
 def test_no_stacked_head_exceeds_its_stack(batch, monkeypatch):
     images = []
     real = cefpn.gradcheck._attend
@@ -367,10 +396,38 @@ def test_no_stacked_head_exceeds_its_stack(batch, monkeypatch):
 
     monkeypatch.setattr(cefpn.gradcheck, "_attend", counted)
     end_to_end_gradcheck(desk(), batch=batch, seed=0)
-    # a stack holds 2 nudged copies per pick, each of ``batch`` images; a
-    # cag.* pick runs one copy at a time
-    assert max(images) == 2 * cefpn.gradcheck._STACK_PICKS * batch
+    # a stack holds 2 nudged copies per pick, each of ``batch`` images: as
+    # many picks as fit in _STACK_IMAGES images, and at least one; a cag.*
+    # pick runs one copy at a time
+    limit = cefpn.gradcheck._STACK_IMAGES
+    assert max(images) == max(2 * batch, limit - limit % (2 * batch))
     assert all(n == batch or n % (2 * batch) == 0 for n in images)
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+@pytest.mark.parametrize("batch", [1, 2])
+def test_no_stack_outgrows_the_analytic_peak(batch, seed, monkeypatch):
+    """After the analytic values are taken, the check's tracemalloc peak
+    stays at or below the peak of the full neck's backward."""
+    end_to_end_gradcheck(desk(), batch=batch, seed=seed)  # first-call imports, untraced
+    real = cefpn.gradcheck._analytic_at
+    peaks = []
+
+    def traced(*args):
+        tracemalloc.reset_peak()
+        out = real(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        return out
+
+    monkeypatch.setattr(cefpn.gradcheck, "_analytic_at", traced)
+    tracemalloc.start()
+    try:
+        end_to_end_gradcheck(desk(), batch=batch, seed=seed)
+        after = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert after <= peaks[0]
 
 
 @pytest.fixture
@@ -389,7 +446,8 @@ def detached_f2(monkeypatch):
 @pytest.mark.parametrize("seed", [1, 3])  # desk seeds that pick in lateral.C2
 @pytest.mark.parametrize("scheme", ["a", "b", "c"])
 def test_end_to_end_catches_a_detached_lateral(detached_f2, scheme, seed):
-    # no graph reaches lateral.C2, so its picks run through the full neck
+    # lateral.C2's picks re-run pyramid_stage, whose values still move with
+    # it, against an analytic gradient of zero
     result = end_to_end_gradcheck(desk(ssf_scheme=scheme), seed=seed)
     assert result.max_rel_error > DEFAULT_THRESHOLD
 
@@ -411,6 +469,30 @@ def detached_sce_conv(request, monkeypatch):
 def test_end_to_end_catches_a_detached_sce_conv(detached_sce_conv):
     # no branch graph reaches the layer, so its picks run through the full neck
     seeds = [seed for seed in range(4) if detached_sce_conv in _picked_layers(desk(), seed)]
+    assert seeds
+    for seed in seeds:
+        assert end_to_end_gradcheck(desk(), seed=seed).max_rel_error > DEFAULT_THRESHOLD, seed
+
+
+@pytest.fixture(params=["post_merge.P2", "post_merge.P3", "post_merge.P4"])
+def detached_post_merge_conv(request, monkeypatch):
+    """The post-merge conv running under the module path ``request.param``
+    returns its output cut from the graph: its layer's analytic gradient is
+    zero."""
+    real = cefpn.neck.conv2d
+
+    def conv2d(x, spec):
+        out = real(x, spec)
+        return Tensor(out.data) if cefpn.tensor._scope == request.param else out
+
+    monkeypatch.setattr(cefpn.neck, "conv2d", conv2d)
+    return request.param
+
+
+def test_end_to_end_catches_a_detached_post_merge_conv(detached_post_merge_conv):
+    # no post-merge graph reaches the layer, so its picks run through the full neck
+    seeds = [seed for seed in range(4)
+             if detached_post_merge_conv in _picked_layers(desk(), seed)]
     assert seeds
     for seed in seeds:
         assert end_to_end_gradcheck(desk(), seed=seed).max_rel_error > DEFAULT_THRESHOLD, seed

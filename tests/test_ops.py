@@ -222,13 +222,14 @@ class TestConv3x3Shifted:
 
 class TestConvBatchIndependence:
     """A conv over n stacked images equals n one-image calls bit for bit: the
-    shifted path's per-image tap sums and the float32 bench check rely on it."""
+    shifted path's blocked tap sums and the float32 bench check rely on it."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("cin, cout, k, size", [
         (8, 16, 3, 8),       # shifted: o < h*w
-        (128, 128, 3, 32),   # shifted, at P3's reference extent
+        (128, 128, 3, 32),   # shifted, at P3's reference extent: one image per tap block
+        (8, 48, 3, 24),      # shifted, two images per tap block: n = 3 ends in a short one
         (8, 64, 3, 4),       # im2col: o >= n*h*w
         (16, 8, 1, 8),       # 1x1
     ])
